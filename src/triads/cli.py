@@ -237,10 +237,29 @@ _COMMANDS = {
 }
 
 
+# Options whose value is a scalar expression, which may start with a minus.
+_EXPRESSION_OPTIONS = frozenset(("--weights", "--q", "--apply"))
+
+
+def _attach_leading_minus_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--weights -3,4,5`` as ``--weights=-3,4,5``, likewise ``--q``, ``--apply``.
+
+    argparse reads a value that starts with "-" and is not a plain number as
+    a flag, so an expression with a leading minus would be refused.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _EXPRESSION_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_leading_minus_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "q", None) is not None:
@@ -254,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError, IndexError) as exc:
+    except (ParseError, ValueError, IndexError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

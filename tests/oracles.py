@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's recurrence fast paths:
 counts come from explicit enumeration of combinatorial objects, symmetric
 functions from Newton's identities, Bell numbers from the Bell triangle,
-and q-binomials from the factorial quotient.
+q-binomials from the factorial quotient, and q-polynomial products from
+the term-by-term sum over plain coefficient lists.
 """
 
 from __future__ import annotations
@@ -107,6 +108,15 @@ def _power_sum(values: list[Scalar], i: int) -> Scalar:
     for v in values:
         total = total + v**i
     return total
+
+
+def schoolbook_product(a: list, b: list) -> list:
+    """Coefficients of the product of two ascending coefficient lists, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def q_binomial_by_factorials(n: int, k: int) -> Scalar:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from triads import cli
 from triads.scalar import parse_scalar
 from triads.suites import SuiteResult
@@ -200,3 +202,27 @@ def test_operator_errors(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("konvalina", "--k", "1", "--weights", "-3,4,5"), "6"),
+        (("konvalina", "--k", "2", "--weights", "-q,2,q^2"), "-2*q + 2*q^2 - q^3"),
+        (("table", "--family", "gauss", "--rows", "2", "--format", "csv", "--q", "-1/2"), "1\n1,1\n1,1/2,1"),
+        (("operator", "--array", "binom", "--n", "3", "--k", "1", "--apply", "-x^2"), "-(1 + q + q^2)*x^2"),
+    ],
+)
+def test_leading_minus_expression_values(capsys, argv, expected):
+    spaced = run(capsys, *argv)
+    assert spaced == (0, expected + "\n", "")
+    assert run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}") == spaced
+
+
+def test_degree_cap_overflow_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--spec", "gauss", "--rows", "70")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds cap" in err and err.count("\n") == 1
+    code, out, err = run(capsys, "operator", "--array", "binom", "--n", "3", "--k", "1", "--apply", "x^70")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds cap" in err and err.count("\n") == 1

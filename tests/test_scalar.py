@@ -1,10 +1,13 @@
 """Field arithmetic, canonical forms, and the text grammar."""
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triads import scalar
 from triads.scalar import (
     ONE,
     ParseError,
@@ -19,6 +22,8 @@ from triads.scalar import (
     q_integer,
     qpow,
 )
+
+from .oracles import schoolbook_product
 
 
 def test_rational_addition():
@@ -170,3 +175,92 @@ def test_canonicalization_is_idempotent(a):
     assert again.num == a.num and again.den == a.den
     assert a.den.lead() == 1
     assert QPoly.gcd(a.num, a.den).is_one() or a.is_zero()
+
+
+# -- the QPoly product kernel -----------------------------------------------
+
+
+@st.composite
+def coefficient_lists(draw):
+    """Coefficient lists long enough for either multiply path.
+
+    Magnitudes run from single bits past 2^64, so every slot width is drawn;
+    zeros fall inside and at both ends (the high end is trimmed by QPoly),
+    and now and then one coefficient is a proper Fraction.
+    """
+    bits = draw(st.integers(min_value=0, max_value=80))
+    value = st.integers(min_value=-(2**bits), max_value=2**bits)
+    cs = draw(st.lists(st.one_of(st.just(0), value, value), min_size=1, max_size=60))
+    cs = [0] * draw(st.integers(0, 3)) + cs + [0] * draw(st.integers(0, 2))
+    if draw(st.integers(0, 7)) == 0:
+        cs[draw(st.integers(0, len(cs) - 1))] = draw(st.fractions(max_denominator=9).filter(lambda f: f.denominator > 1))
+    return cs
+
+
+@settings(deadline=None, max_examples=300)
+@given(coefficient_lists(), coefficient_lists())
+def test_product_matches_schoolbook_oracle(a, b):
+    assert (QPoly(a) * QPoly(b)).coeffs == QPoly(schoolbook_product(a, b)).coeffs
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(scalar, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scalar, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "length, magnitude, width",
+    [
+        (127, 1, 1),  # the central coefficient is +-127, the bound of a signed byte
+        (128, 1, 2),
+        (14, 48, 2),  # bound 48^2 * 14 = 32256, just under 2^15
+        (8, 2**12, 4),
+        (8, 2**25, 8),
+        (8, 2**40, 11),
+        (8, 2**70, 19),
+    ],
+)
+def test_product_slot_widths(monkeypatch, length, magnitude, width):
+    packs = _spy(monkeypatch, "_pack")
+    rng = random.Random(length * magnitude)
+    signs = [[rng.choice((-1, 1)) for _ in range(length)] for _ in range(3)]
+    for sa, sb in ((signs[0], signs[1]), ([1] * length, [1] * length), ([-1] * length, signs[2])):
+        a = [s * magnitude for s in sa]
+        b = [s * magnitude for s in sb]
+        assert (QPoly(a) * QPoly(b)).coeffs == tuple(schoolbook_product(a, b))
+    assert {w for _, w in packs} == {width}
+    assert len(packs) == 6
+
+
+def _sparse(length, nonzeros, rng):
+    cs = [0] * length
+    for i in rng.sample(range(length - 1), nonzeros - 1) + [length - 1]:
+        cs[i] = rng.choice((-3, -1, 1, 2, 5))
+    return cs
+
+
+def test_product_path_follows_density_and_coefficient_type(monkeypatch):
+    kronecker = _spy(monkeypatch, "_kronecker_mul")
+    rng = random.Random(5)
+    dense = [rng.randint(-9, 9) or 1 for _ in range(40)]
+    least = isqrt(scalar._KRONECKER_DENSITY * 200 - 1) + 1  # fewest nonzeros that qualify at length 100
+    cases = [
+        (dense, dense, True),
+        (dense[:4], dense, False),  # the shorter operand has at most 4 coefficients
+        ([0] * 80 + [1], [0] * 99 + [3], False),  # monomials, as q^k is built by squaring
+        (_sparse(100, least - 1, rng), _sparse(100, least - 1, rng), False),
+        (_sparse(100, least, rng), _sparse(100, least, rng), True),
+        (dense[:-1] + [Fraction(1, 3)], dense, False),
+        (dense, [Fraction(1, 2)] + dense, False),
+    ]
+    for a, b, fires in cases:
+        before = len(kronecker)
+        assert (QPoly(a) * QPoly(b)).coeffs == QPoly(schoolbook_product(a, b)).coeffs
+        assert (len(kronecker) > before) == fires, (a, b)
