@@ -118,6 +118,8 @@ def _weights_from_flag(text: str, length: int | None) -> WeightVector:
 
 
 def _cmd_konvalina(args) -> int:
+    if args.length is not None and args.length < 0:
+        raise CliError("--length must be nonnegative")
     w = _weights_from_flag(args.weights, args.length)
     if args.table:
         if args.kind == "first":
@@ -137,6 +139,8 @@ def _cmd_konvalina(args) -> int:
 def _cmd_verify(args) -> int:
     if (args.suite is None) == (args.spec is None):
         raise CliError("exactly one of --suite or --spec is required")
+    if args.rows is not None and args.rows < 0:
+        raise CliError("--rows must be nonnegative")
     if args.spec is not None:
         spec = load_spec(args.spec)
         rows = args.rows if args.rows is not None else 10
@@ -273,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError, IndexError, OverflowError) as exc:
+    except (ParseError, ValueError, IndexError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

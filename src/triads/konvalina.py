@@ -11,8 +11,9 @@ against each other:
   * ``*_oracle``   -- direct enumeration of the index tuples (the
                       definitional, anti-regression route; exponential,
                       intended for the desk scale),
-  * ``first_kind`` / ``second_kind`` and the ``*_table`` builders -- the
-    two-term last-box recurrences.
+  * ``first_kind`` / ``second_kind``, the ``_*_row`` helpers they read
+    their value from (all of e_0..e_k or h_0..h_k in one pass) and the
+    ``*_table`` builders -- the two-term last-box recurrences.
 
 ``second_kind_triangle`` is the (n, k)-indexed reshaping of the second
 kind (value S_{n-k}^k) computed through its own flipped recurrence, the
@@ -130,30 +131,36 @@ def second_kind_oracle(w: WeightVector, k: int) -> Scalar:
 
 # -- recurrence fast paths ---------------------------------------------------
 
-def first_kind(w: WeightVector, k: int) -> Scalar:
-    """e_k of the weights via the last-box recurrence."""
-    if k < 0:
-        return ZERO
-    if k > len(w):
-        return ZERO
+def _first_kind_row(w: WeightVector, k: int) -> list[Scalar]:
+    """e_0..e_k of the weights, all from one pass of the last-box recurrence."""
     dp = [ONE] + [ZERO] * k
     for i, wi in enumerate(w.weights, start=1):
         for j in range(min(i, k), 0, -1):
             dp[j] = dp[j] + wi * dp[j - 1]
-    return dp[k]
+    return dp
+
+
+def _second_kind_row(w: WeightVector, k: int) -> list[Scalar]:
+    """h_0..h_k of the weights, all from one pass of the last-box recurrence."""
+    dp = [ONE] + [ZERO] * k
+    for wi in w.weights:
+        for j in range(1, k + 1):
+            dp[j] = dp[j] + wi * dp[j - 1]
+    return dp
+
+
+def first_kind(w: WeightVector, k: int) -> Scalar:
+    """e_k of the weights via the last-box recurrence."""
+    if k < 0 or k > len(w):
+        return ZERO
+    return _first_kind_row(w, k)[k]
 
 
 def second_kind(w: WeightVector, k: int) -> Scalar:
     """h_k of the weights via the last-box recurrence."""
     if k < 0:
         return ZERO
-    if k == 0:
-        return ONE
-    dp = [ONE] + [ZERO] * k
-    for wi in w.weights:
-        for j in range(1, k + 1):
-            dp[j] = dp[j] + wi * dp[j - 1]
-    return dp[k]
+    return _second_kind_row(w, k)[k]
 
 
 def first_kind_table(w: WeightVector, rows: int) -> list[list[Scalar]]:
@@ -237,13 +244,13 @@ def split_identity(w: WeightVector, split: int, k: int) -> bool:
         raise ValueError(f"split {split} outside 0..{len(w)}")
     head = w.prefix(split)
     tail = w.tail(split)
-    for value in (first_kind, second_kind):
+    for value, row in ((first_kind, _first_kind_row), (second_kind, _second_kind_row)):
         lhs = value(w, k)
+        left, right = row(head, k), row(tail, k)
         rhs = ZERO
         for i in range(k + 1):
-            left = value(head, i)
-            if not left.is_zero():
-                rhs = rhs + left * value(tail, k - i)
+            if not left[i].is_zero():
+                rhs = rhs + left[i] * right[k - i]
         if lhs != rhs:
             return False
     return True

@@ -183,15 +183,19 @@ def n_qhat_entries(base: DiagOp, n: int) -> OpWeightVector:
 
 
 def _konkwa(ow: OpWeightVector, k: int, value_fn) -> DiagOp:
-    # Per-monomial scalar evaluation; identical weight tuples share one computation.
-    cache: dict[tuple[Scalar, ...], Scalar] = {}
+    """Per-monomial scalar evaluation of an operator-valued coefficient.
+
+    The weights seen by x^m are polynomials in ``base.eigen[m]`` alone, so the
+    per-call cache is keyed on that eigenvalue: ``scalar_weights(m)`` and the
+    recurrence run once per distinct base eigenvalue, not once per monomial.
+    """
+    cache: dict[Scalar, Scalar] = {}
     eigen = []
-    for m in range(ow.base.depth + 1):
-        weights = ow.scalar_weights(m)
-        key = weights.weights
-        if key not in cache:
-            cache[key] = value_fn(weights, k)
-        eigen.append(cache[key])
+    for m, lam in enumerate(ow.base.eigen):
+        value = cache.get(lam)
+        if value is None:
+            value = cache[lam] = value_fn(ow.scalar_weights(m), k)
+        eigen.append(value)
     return DiagOp(eigen)
 
 

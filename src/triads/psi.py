@@ -3,7 +3,10 @@
 An admissible sequence assigns a nonzero Scalar psi_n to every n >= 0 with
 psi_0 = 1 (and psi_n = 0 for negative n by convention).  It deforms the
 naturals through the ratio n_psi = psi_{n-1}/psi_n, whose telescoping
-product 1/psi_n plays the role of a factorial.
+product 1/psi_n plays the role of a factorial.  A :class:`PsiSequence`
+memoizes both its values and these ratios, so each ratio's gcd division
+runs once per sequence instance however often operators and series ask
+for it.
 
 Three builtin sequences cover the cases used throughout the package:
 
@@ -22,14 +25,15 @@ from .scalar import ONE, Scalar, ZERO, as_scalar, q_factorial
 
 
 class PsiSequence:
-    """Memoized admissible sequence n -> psi_n."""
+    """Memoized admissible sequence n -> psi_n, with memoized ratios n_psi."""
 
-    __slots__ = ("name", "_rule", "_memo")
+    __slots__ = ("name", "_rule", "_memo", "_ratios")
 
     def __init__(self, name: str, rule: Callable[[int], Scalar]):
         self.name = name
         self._rule = rule
         self._memo: dict[int, Scalar] = {}
+        self._ratios: dict[int, Scalar] = {}
         if self.value(0) != ONE:
             raise ValueError(f"sequence {name!r} is not admissible: psi_0 != 1")
 
@@ -50,12 +54,15 @@ class PsiSequence:
 
 
 def n_psi(psi: PsiSequence, n: int) -> Scalar:
-    """The deformed integer psi_{n-1}/psi_n; 0 at n = 0."""
+    """The deformed integer psi_{n-1}/psi_n; 0 at n = 0.  Memoized on ``psi``."""
     if n < 0:
         raise ValueError("n_psi expects n >= 0")
     if n == 0:
         return ZERO
-    return psi.value(n - 1) / psi.value(n)
+    cached = psi._ratios.get(n)
+    if cached is None:
+        cached = psi._ratios[n] = psi.value(n - 1) / psi.value(n)
+    return cached
 
 
 def psi_factorial(psi: PsiSequence, n: int) -> Scalar:

@@ -15,6 +15,12 @@ Representation:
                is nonzero except for the zero polynomial, stored as (0,).
   Scalar    -- QPoly pair num/den with gcd(num, den) = 1 and den monic.
 
+Most Scalars in the suites are rational constants: a one-coefficient
+numerator over the unit denominator.  ``Scalar.__add__`` and ``__mul__``
+combine two such operands directly on their coefficients (the degree-0
+path), skipping the QPoly arithmetic; the result is the same canonical
+tuple the general path builds.
+
 QPoly products take one of two paths, chosen from the operands alone.
 Kronecker substitution packs each operand into one Python int at a fixed
 slot width, multiplies the two ints once and unpacks the signed slots; it
@@ -265,6 +271,7 @@ def _kronecker_mul(a: tuple, b: tuple) -> tuple:
 
 QP_ZERO = QPoly._raw((0,))
 QP_ONE = QPoly._raw((1,))
+_UNIT = QP_ONE.coeffs
 QP_Q = QPoly._raw((0, 1))
 
 
@@ -329,10 +336,15 @@ class Scalar:
     # -- field operations --
 
     def __add__(self, other: object) -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.den.coeffs == _UNIT == other.den.coeffs:
+            a, b = self.num.coeffs, other.num.coeffs
+            if len(a) == 1 and len(b) == 1:
+                # as in QPoly.__add__, a zero addend leaves the coefficient untouched
+                return Scalar._raw(QPoly._raw((a[0] + b[0],)) if b[0] else self.num, QP_ONE)
             return Scalar._raw(self.num + other.num, QP_ONE)
         num = self.num * other.den + other.num * self.den
         return Scalar(num, self.den * other.den)
@@ -355,13 +367,18 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other: object) -> "Scalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.den.coeffs == _UNIT == other.den.coeffs:
+            a, b = self.num.coeffs, other.num.coeffs
+            if len(a) == 1 and len(b) == 1:
+                return Scalar._raw(QPoly._raw((a[0] * b[0],)), QP_ONE) if a[0] and b[0] else ZERO
+            # QPoly.__mul__ returns the zero polynomial for a zero operand
+            return Scalar._raw(self.num * other.num, QP_ONE)
         if self.is_zero() or other.is_zero():
             return ZERO
-        if self.den.is_one() and other.den.is_one():
-            return Scalar._raw(self.num * other.num, QP_ONE)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

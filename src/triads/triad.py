@@ -227,6 +227,8 @@ def _sequence_from_json(obj) -> SequenceRule:
 
 def spec_from_json(obj: dict) -> TriadSpec:
     """Decode {"name": ..., "i": ..., "q": ..., "d": ...} into a TriadSpec."""
+    if not isinstance(obj, dict):
+        raise ValueError("triad spec must be a JSON object with keys i, q, d")
     missing = [key for key in ("i", "q", "d") if key not in obj]
     if missing:
         raise ValueError(f"triad spec is missing sequences: {', '.join(missing)}")
@@ -247,8 +249,11 @@ def load_spec(name_or_path: str) -> TriadSpec:
         raise ValueError(
             f"{name_or_path!r} is neither a builtin spec ({', '.join(sorted(BUILTIN_SPECS))}) nor a file"
         )
-    with path.open() as handle:
-        obj = json.load(handle)
+    try:
+        with path.open() as handle:
+            obj = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read spec file {name_or_path!r}: {exc.strerror}")
     spec = spec_from_json(obj)
     if spec.name is None:
         spec = TriadSpec(spec.i_seq, spec.q_seq, spec.d_seq, path.stem)

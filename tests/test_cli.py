@@ -1,12 +1,15 @@
 """Command-line behavior: golden outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from triads import cli
 from triads.scalar import parse_scalar
-from triads.suites import SuiteResult
+from triads.suites import SUITE_NAMES, SuiteResult
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -226,3 +229,46 @@ def test_degree_cap_overflow_is_usage_error(capsys):
     code, out, err = run(capsys, "operator", "--array", "binom", "--n", "3", "--k", "1", "--apply", "x^70")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "exceeds cap" in err and err.count("\n") == 1
+
+
+def test_verify_all_matches_golden_output(capsys):
+    # Performance work must leave the gate's stdout byte-identical.
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "verify_all_seed7.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_spec_division_by_zero_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({"i": ["1", "1", "1"], "q": ["1/(q-q)", "1", "1"], "d": ["0", "0", "0"]}))
+    code, out, err = run(capsys, command, "--spec", str(path), "--rows", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "division by zero" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[1, 2, 3]", "7"])
+def test_spec_that_is_not_an_object_is_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "list.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "verify", "--spec", str(path), "--rows", "3")
+    assert code == 2 and "JSON object" in err
+
+
+def test_unreadable_spec_path_is_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "table", "--spec", str(tmp_path), "--rows", "3")
+    assert code == 2 and err.startswith("error: cannot read spec file")
+
+
+@pytest.mark.parametrize("mode", [("--suite", name) for name in SUITE_NAMES + ("all",)] + [("--spec", "gauss")])
+def test_verify_negative_rows_is_usage_error(capsys, mode):
+    code, out, err = run(capsys, "verify", *mode, "--rows", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: --rows must be nonnegative\n"
+
+
+@pytest.mark.parametrize("extra", [("--k", "1"), ("--table",)])
+def test_konvalina_negative_length_is_usage_error(capsys, extra):
+    code, out, err = run(capsys, "konvalina", "--weights", "ones", "--length", "-1", *extra)
+    assert code == 2 and out == ""
+    assert err == "error: --length must be nonnegative\n"

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from triads.konvalina import (
     WeightVector,
+    _first_kind_row,
+    _second_kind_row,
     binomial,
     classical_identity_suite,
     first_kind,
@@ -138,6 +140,22 @@ def test_oracle_equals_recurrence_on_symbolic_weights():
     for k in range(5):
         assert first_kind_oracle(w, k) == first_kind(w, k)
         assert second_kind_oracle(w, k) == second_kind(w, k)
+
+
+weight_values = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(lambda c, e: as_scalar(c) * qpow(e), st.integers(-3, 3), st.integers(0, 3)),
+    st.builds(lambda a, b: (ONE + Q * a) / (Q - b), st.integers(-2, 2), st.integers(2, 3)),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(weight_values, max_size=5), st.integers(0, 7))
+def test_recurrence_rows_match_enumeration(values, k):
+    w = WeightVector.of(values)
+    assert _first_kind_row(w, k) == [first_kind_oracle(w, j) for j in range(k + 1)]
+    assert _second_kind_row(w, k) == [second_kind_oracle(w, j) for j in range(k + 1)]
 
 
 def test_binomial_and_q_binomial_helpers():

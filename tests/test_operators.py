@@ -147,6 +147,21 @@ def test_shape_recurrences_with_varying_eigenvalues():
                 assert konkwa_second_kind(ow, k) == konkwa_second_kind(shorter, k) + wn * konkwa_second_kind(ow, k - 1)
 
 
+@pytest.mark.parametrize("psi_name", ["fibonacci", "classical"])
+def test_konkwa_eigenvalues_match_uncached_scalar_evaluation(psi_name):
+    # the per-call cache is keyed on the base eigenvalue; every monomial must
+    # still see the value of its own scalar weights
+    base = qhat(get_psi(psi_name), 8)
+    for entries_of in (n_qhat_entries, qhat_power_entries):
+        ow = entries_of(base, 5)
+        for k in range(7):
+            first, second = konkwa_first_kind(ow, k), konkwa_second_kind(ow, k)
+            for m in range(base.depth + 1):
+                weights = ow.scalar_weights(m)
+                assert first.eigen[m] == first_kind(weights, k)
+                assert second.eigen[m] == second_kind(weights, k)
+
+
 def test_entry_eigenvalue_matches_entry_op():
     base = qhat(get_psi("fibonacci"), 6)
     ow = n_qhat_entries(base, 4)

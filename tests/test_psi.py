@@ -63,6 +63,15 @@ def test_psi_factorial_telescopes():
             assert psi_factorial(psi, n) == n_psi(psi, n) * psi_factorial(psi, n - 1)
 
 
+def test_n_psi_memo_matches_fresh_ratio():
+    for make in (qfact_psi, classical_psi, fibonacci_psi):
+        psi = make()
+        for n in range(1, 11):
+            memoized = n_psi(psi, n)
+            assert memoized == psi.value(n - 1) / psi.value(n)
+            assert n_psi(psi, n) is memoized
+
+
 def test_psi_falling():
     qf = get_psi("qfact")
     assert psi_falling(qf, 5, 0) == ONE

@@ -129,6 +129,31 @@ def scalars(draw):
     return Scalar(QPoly(num))
 
 
+def _typed(coeffs):
+    # coefficients with their types, so int 3 and Fraction(3) differ
+    return [(c, type(c)) for c in coeffs]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(st.just(0), st.integers(-50, 50), rationals),
+    st.one_of(st.just(0), st.integers(-50, 50), rationals),
+)
+def test_degree_zero_path_matches_qpoly_arithmetic(a, b):
+    # the degree-0 path must build the tuples the QPoly route builds
+    x, y = as_scalar(a), as_scalar(b)
+    for result, reference in (
+        (x + y, x.num + y.num),
+        (x + b, x.num + y.num),
+        (x - y, x.num - y.num),
+        (x * y, x.num * y.num),
+        (x * b, x.num * y.num),
+    ):
+        assert _typed(result.num.coeffs) == _typed(reference.coeffs)
+        assert result.den.coeffs == (1,)
+    assert x + y == as_scalar(a + b) and x * y == as_scalar(a * b)
+
+
 @settings(deadline=None)
 @given(scalars(), scalars(), scalars())
 def test_field_laws(a, b, c):
