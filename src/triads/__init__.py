@@ -18,8 +18,8 @@ from .scalar import (
 )
 from .poly import DegreeLimitError, Poly, X, monomial, parse_poly, set_degree_cap, x_power
 from .triad import (
-    ConnectionReport,
     SingularTriadError,
+    SuiteResult,
     TriadSpec,
     TriadTable,
     coefficient_table,
@@ -50,7 +50,7 @@ from .konvalina import (
 )
 from .families import FAMILIES, Family, NotATriadError, cross_check, family_table, family_value
 from .psi import PsiSequence, classical_psi, fibonacci_psi, get_psi, n_psi, psi_factorial, psi_falling, qfact_psi
-from .psi_extensions import PsiWeightVector, comtet_transform, psi_stirling_first, psi_stirling_second, psi_weights
+from .psi_extensions import comtet_transform, psi_stirling_first, psi_stirling_second, psi_weights
 from .operators import (
     DepthExceededError,
     DiagOp,

@@ -145,7 +145,7 @@ def _cmd_verify(args) -> int:
         spec = load_spec(args.spec)
         rows = args.rows if args.rows is not None else 10
         report = verify_connection(spec, rows)
-        for line in report.lines():
+        for line in report.render():
             print(line)
         degrees_ok = verify_degrees(spec, rows)
         label = spec.name or args.spec

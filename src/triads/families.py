@@ -1,11 +1,15 @@
 """Named coefficient families and their cross-checks.
 
-Each family member is computed through its weighted-selection mapping:
+Each family value is the one weighted-selection definition it names,
+imported rather than restated:
 
-  pascal      binom(n, k)  = first kind, k from unit weights (1..1)
-  stirling2   {n k}        = second kind, n-k balls over weights (1..k)
-  stirling1   [n k]        = first kind, n-k from weights (1..n-1)
-  gauss       binom(n,k)_q = second kind, k balls over (1, q, .., q^(n-k))
+  pascal      binom(n, k)  = konvalina.binomial: first kind, k from unit weights
+  stirling2   {n k}        = psi_stirling_second under the classical psi:
+                             second kind, n-k balls over weights (1..k)
+  stirling1   [n k]        = psi_stirling_first under the classical psi:
+                             first kind, n-k from weights (1..n-1)
+  gauss       binom(n,k)_q = konvalina.q_binomial: second kind, k balls
+                             over (1, q, .., q^(n-k))
 
 pascal, stirling2 and gauss additionally carry a triad spec whose
 coefficient triangle must reproduce the same values; stirling1 satisfies
@@ -18,29 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .konvalina import first_kind, naturals, ones, qpowers, second_kind
-from .scalar import ONE, Scalar, ZERO, as_scalar
-from .triad import TriadSpec, coefficient_table, gauss_spec, pascal_spec, stirling2_spec
+from .konvalina import binomial, q_binomial
+from .psi import get_psi
+from .psi_extensions import psi_stirling_first, psi_stirling_second
+from .scalar import Scalar
+from .triad import SuiteResult, TriadSpec, coefficient_table, gauss_spec, pascal_spec, stirling2_spec
 
 
 class NotATriadError(ValueError):
     """The family has no dual polynomial sequence / triad presentation."""
-
-
-def _pascal(n: int, k: int) -> Scalar:
-    return first_kind(ones(n), k)
-
-
-def _stirling2(n: int, k: int) -> Scalar:
-    return second_kind(naturals(k), n - k)
-
-
-def _stirling1(n: int, k: int) -> Scalar:
-    return first_kind(naturals(max(n - 1, 0)), n - k)
-
-
-def _gauss(n: int, k: int) -> Scalar:
-    return second_kind(qpowers(n - k + 1), k)
 
 
 @dataclass(frozen=True)
@@ -61,10 +51,10 @@ class Family:
 
 
 FAMILIES: dict[str, Family] = {
-    "pascal": Family("pascal", _pascal, pascal_spec),
-    "stirling2": Family("stirling2", _stirling2, stirling2_spec),
-    "stirling1": Family("stirling1", _stirling1, None),
-    "gauss": Family("gauss", _gauss, gauss_spec),
+    "pascal": Family("pascal", binomial, pascal_spec),
+    "stirling2": Family("stirling2", lambda n, k: psi_stirling_second(get_psi("classical"), n, k), stirling2_spec),
+    "stirling1": Family("stirling1", lambda n, k: psi_stirling_first(get_psi("classical"), n, k), None),
+    "gauss": Family("gauss", q_binomial, gauss_spec),
 }
 
 
@@ -84,68 +74,21 @@ def family_table(name: str | Family, rows: int) -> list[list[Scalar]]:
     return [[family.value(n, k) for k in range(n + 1)] for n in range(rows + 1)]
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    family: str
-    depth: int
-    mismatches: tuple[tuple[int, int, Scalar, Scalar], ...]
+def cross_check(name: str | Family, rows: int) -> SuiteResult:
+    """Compare the family's triad triangle entrywise with its weighted mapping.
 
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def lines(self) -> list[str]:
-        if self.ok:
-            return [f"PASS cross-check {self.family}: triad agrees with weighted form, n <= {self.depth}"]
-        return [
-            f"FAIL cross-check {self.family} at (n={n}, k={k}): triad {lhs} != weighted {rhs}"
-            for n, k, lhs, rhs in self.mismatches
-        ]
-
-
-def cross_check(name: str | Family, rows: int) -> CrossCheckReport:
-    """Compare the family's triad triangle entrywise with its weighted mapping."""
+    One FAIL line per mismatching (n, k); one PASS line if there is none.
+    """
     family = get_family(name) if isinstance(name, str) else name
     spec = family.triad()
     table = coefficient_table(spec, rows)
-    mismatches = []
+    report = SuiteResult(f"cross-check {family.name}")
     for n in range(rows + 1):
         for k in range(n + 1):
             lhs = table.entry(n, k)
             rhs = family.value(n, k)
             if lhs != rhs:
-                mismatches.append((n, k, lhs, rhs))
-    return CrossCheckReport(family.name, rows, tuple(mismatches))
-
-
-def stirling1_recurrence_holds(limit: int) -> bool:
-    """Whether the stirling1 mapping satisfies its classical two-term recurrence.
-
-    Checks [n k] = (n-1)*[n-1 k] + [n-1 k-1] for 1 <= n <= limit with the
-    boundary [0 0] = 1 and [0 k] = 0 for k > 0.
-    """
-    family = get_family("stirling1")
-    if family.value(0, 0) != ONE:
-        return False
-    values = {(0, 0): family.value(0, 0)}
-    for n in range(1, limit + 1):
-        for k in range(n + 1):
-            values[(n, k)] = family.value(n, k)
-    for n in range(1, limit + 1):
-        for k in range(n + 1):
-            above = values.get((n - 1, k), ZERO)
-            diag = values.get((n - 1, k - 1), ZERO)
-            if values[(n, k)] != as_scalar(n - 1) * above + diag:
-                return False
-    return True
-
-
-def stirling1_parameter_spec(n: int) -> TriadSpec:
-    """The degenerate constant-coefficient spec with q(k) = n-1, i = 1, d = 0.
-
-    One member per n of the family of polynomial sequences that shadows the
-    stirling1 triangle; exposed as a spec generator only -- no connection
-    between its coefficient triangle and the stirling1 values is claimed,
-    and none exists for n >= 2.
-    """
-    return TriadSpec.of(ONE, as_scalar(n - 1), ZERO, name=f"stirling1-parameter-{n}")
+                report.check(False, f"(n={n}, k={k}): triad {lhs} != weighted {rhs}")
+    if not report.lines:
+        report.check(True, f"triad agrees with weighted form, n <= {rows}")
+    return report

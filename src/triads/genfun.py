@@ -44,10 +44,6 @@ class Series:
     def x_power(cls, k: int, order: int) -> "Series":
         return cls([ZERO] * k + [ONE], order)
 
-    @classmethod
-    def from_poly(cls, p: Poly, order: int) -> "Series":
-        return cls(list(p.coeffs), order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

@@ -17,13 +17,17 @@ against each other:
 
 ``second_kind_triangle`` is the (n, k)-indexed reshaping of the second
 kind (value S_{n-k}^k) computed through its own flipped recurrence, the
-shape Stirling triangles satisfy.
+shape Stirling triangles satisfy.  ``binomial`` and ``q_binomial`` are the
+binomial and Gaussian arrays as these coefficients over unit and q-power
+weights; they are the only definition of the pascal and gauss family
+values.  The summation identities derived from the last-box decomposition
+are checked by ``suites.suite_corollary``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable
@@ -36,11 +40,10 @@ class WeightVector:
     """Per-box weights w_1..w_n (1-indexed); immutable."""
 
     weights: tuple[Scalar, ...]
-    source: str = "explicit"
 
     @classmethod
-    def of(cls, values: Iterable, source: str = "explicit") -> "WeightVector":
-        return cls(tuple(as_scalar(v) for v in values), source)
+    def of(cls, values: Iterable) -> "WeightVector":
+        return cls(tuple(as_scalar(v) for v in values))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -52,11 +55,11 @@ class WeightVector:
         return self.weights[i - 1]
 
     def prefix(self, n: int) -> "WeightVector":
-        return WeightVector(self.weights[:n], self.source)
+        return WeightVector(self.weights[:n])
 
     def tail(self, start: int) -> "WeightVector":
         """Weights w_{start+1}.. as their own vector."""
-        return WeightVector(self.weights[start:], self.source)
+        return WeightVector(self.weights[start:])
 
     def constant_values(self) -> list[int | Fraction] | None:
         """Plain rational values when every weight is constant in q, else None.
@@ -73,15 +76,15 @@ class WeightVector:
 
 
 def ones(n: int) -> WeightVector:
-    return WeightVector((ONE,) * n, "ones")
+    return WeightVector((ONE,) * n)
 
 
 def naturals(n: int) -> WeightVector:
-    return WeightVector(tuple(as_scalar(i) for i in range(1, n + 1)), "naturals")
+    return WeightVector(tuple(as_scalar(i) for i in range(1, n + 1)))
 
 
 def qpowers(n: int) -> WeightVector:
-    return WeightVector(tuple(qpow(i) for i in range(n)), "qpowers")
+    return WeightVector(tuple(qpow(i) for i in range(n)))
 
 
 WEIGHT_RULES = {"ones": ones, "naturals": naturals, "qpowers": qpowers}
@@ -268,79 +271,3 @@ def q_binomial(n: int, k: int) -> Scalar:
     if k < 0 or k > n:
         return ZERO
     return second_kind(qpowers(n - k + 1), k)
-
-
-@dataclass
-class IdentityReport:
-    """Result lines for a batch of identity checks."""
-
-    title: str
-    checks: list[tuple[str, bool]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def add(self, label: str, ok: bool) -> None:
-        self.checks.append((label, ok))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    def lines(self) -> list[str]:
-        out = [f"{'PASS' if ok else 'FAIL'} {self.title}: {label}" for label, ok in self.checks]
-        out.extend(f"NOTE {self.title}: {note}" for note in self.notes)
-        return out
-
-
-def classical_identity_suite(limit: int) -> IdentityReport:
-    """Summation identities recovered from the last-box decomposition.
-
-    Checked for all n, k <= limit:
-
-      1. hockey stick:        binom(n+k+1, k+1) = sum_i binom(k+i, k)
-      2. column sum:          binom(n+1, k+1)   = sum_i binom(i, k)
-      3. q-hockey stick:      qbinom(n+k+1, k+1) = sum_i q^i * qbinom(k+i, k)
-
-    Two further variants sometimes listed alongside these are excluded: as
-    commonly printed they equate mismatched quantities and admit no
-    consistent reading, so there is nothing well-formed to verify.
-    """
-    report = IdentityReport(title="identities")
-    top = 2 * limit + 2
-    bins = first_kind_table(ones(top), top)
-    qbins = _q_binomial_table(top)
-
-    def at(table, n, k):
-        return table[n][k] if 0 <= k <= n else ZERO
-
-    ok1 = ok2 = ok5 = True
-    for n in range(limit + 1):
-        for k in range(limit + 1):
-            partial = ZERO
-            partial_q = ZERO
-            for i in range(n + 1):
-                partial = partial + at(bins, k + i, k)
-                partial_q = partial_q + qpow(i) * at(qbins, k + i, k)
-            ok1 = ok1 and at(bins, n + k + 1, k + 1) == partial
-            ok5 = ok5 and at(qbins, n + k + 1, k + 1) == partial_q
-            column = ZERO
-            for i in range(k, n + 1):
-                column = column + at(bins, i, k)
-            ok2 = ok2 and at(bins, n + 1, k + 1) == column
-    report.add(f"hockey stick, n,k <= {limit}", ok1)
-    report.add(f"column sum, n,k <= {limit}", ok2)
-    report.add(f"q-hockey stick (symbolic q), n,k <= {limit}", ok5)
-    report.notes.append("two ill-formed printed variants excluded (no consistent reading)")
-    return report
-
-
-def _q_binomial_table(rows: int) -> list[list[Scalar]]:
-    # q-Pascal recurrence; independent of the second_kind route above.
-    table = [[ONE]]
-    for n in range(1, rows + 1):
-        prev = table[n - 1]
-        row = [ONE]
-        for k in range(1, n):
-            row.append(prev[k - 1] + qpow(k) * prev[k])
-        row.append(ONE)
-        table.append(row)
-    return table

@@ -44,10 +44,6 @@ class DiagOp:
         self.eigen = tuple(as_scalar(v) for v in eigen)
 
     @classmethod
-    def from_function(cls, f: Callable[[int], Scalar], depth: int) -> "DiagOp":
-        return cls([f(m) for m in range(depth + 1)])
-
-    @classmethod
     def identity(cls, depth: int) -> "DiagOp":
         return cls([ONE] * (depth + 1))
 
@@ -166,10 +162,7 @@ class OpWeightVector:
 
     def scalar_weights(self, m: int) -> WeightVector:
         """The plain weight vector seen by the monomial x^m."""
-        return WeightVector(
-            tuple(self.entry_eigenvalue(i, m) for i in range(1, len(self.coeffs) + 1)),
-            source="operator",
-        )
+        return WeightVector(tuple(self.entry_eigenvalue(i, m) for i in range(1, len(self.coeffs) + 1)))
 
 
 def qhat_power_entries(base: DiagOp, n: int) -> OpWeightVector:

@@ -7,37 +7,23 @@ machinery into deformed Stirling triangles: with the canonical choice
   [n k]_psi = first kind, n-k indices from (1_psi .. (n-1)_psi)
   {n k}_psi = second kind, n-k indices from (1_psi .. k_psi)
 
-Under the qfact sequence these are the q-Stirling numbers, and at q = 1
-the classical ones.  ``comtet_transform`` converts between the two common
-q-conventions by the q^(k choose 2) factor.
+Under the qfact sequence these are the q-Stirling numbers; under the
+classical sequence, and at q = 1, the classical ones, which is where
+``families`` reads its stirling1/stirling2 values.  ``comtet_transform``
+converts between the two common q-conventions by the q^(k choose 2)
+factor.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .konvalina import WeightVector, first_kind, second_kind
 from .psi import PsiSequence, n_psi
 from .scalar import Scalar, qpow
 
 
-@dataclass(frozen=True)
-class PsiWeightVector:
-    """Weights selected from the deformed integers of one sequence."""
-
-    base: PsiSequence
-    indices: tuple[int, ...]
-
-    def materialize(self) -> WeightVector:
-        return WeightVector(
-            tuple(n_psi(self.base, j) for j in self.indices),
-            source=f"psi:{self.base.name}",
-        )
-
-
 def psi_weights(psi: PsiSequence, n: int) -> WeightVector:
     """The canonical vector (1_psi, 2_psi, ..., n_psi)."""
-    return PsiWeightVector(psi, tuple(range(1, n + 1))).materialize()
+    return WeightVector(tuple(n_psi(psi, j) for j in range(1, n + 1)))
 
 
 def psi_stirling_first(psi: PsiSequence, n: int, k: int) -> Scalar:

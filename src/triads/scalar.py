@@ -544,7 +544,9 @@ def parse_expression(text: str, atoms: dict[str, object], from_int: Callable[[in
     """Recursive-descent evaluator for the scalar/polynomial expression grammar.
 
     ``atoms`` maps symbol names (e.g. "q", "x") to algebra values; the value
-    type must support +, -, *, /, unary minus and integer **.
+    type must support +, -, *, /, unary minus and integer **.  Nesting of
+    parentheses or unary minus deeper than the recursion limit allows is a
+    :class:`ParseError`, like any other bad input.
     """
     tokens = tokenize(text)
     pos = 0
@@ -612,7 +614,10 @@ def parse_expression(text: str, atoms: dict[str, object], from_int: Callable[[in
 
     if not tokens:
         raise ParseError("empty expression")
-    value = parse_sum()
+    try:
+        value = parse_sum()
+    except RecursionError:
+        raise ParseError(f"expression nested too deeply to parse ({len(text)} characters)") from None
     if pos != len(tokens):
         raise ParseError(f"trailing input {tokens[pos:]!r} in {text!r}")
     return value

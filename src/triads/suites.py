@@ -1,8 +1,11 @@
 """Batch verification suites behind ``triad verify --suite``.
 
 Each suite runs a family of exact identity checks and returns a
-:class:`SuiteResult` whose lines are deterministic for a given seed, so
-repeated runs are byte-identical.  ``--suite all`` is the CI gate.
+:class:`~triads.triad.SuiteResult` (the package's one report type) whose
+lines are deterministic for a given seed, so repeated runs are
+byte-identical.  ``SUITE_RUNNERS`` maps each suite name to its runner
+and is the one place a suite is registered; ``--suite all`` runs them
+all and is the CI gate.
 
 Wherever a suite compares two routes, the routes are independent: tables
 against definitional enumeration, operator eigenvalues against scalar
@@ -14,16 +17,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from . import konvalina
 from .families import cross_check, family_value
 from .genfun import check_stirling1_polynomial, check_stirling2_series
 from .konvalina import (
     WeightVector,
-    classical_identity_suite,
     first_kind_oracle,
     first_kind_table,
     ones,
@@ -44,26 +46,10 @@ from .operators import (
 )
 from .psi import get_psi
 from .psi_extensions import psi_stirling_first, psi_stirling_second
-from .scalar import as_scalar, q_factorial
-from .triad import BUILTIN_SPECS, verify_connection, verify_degrees
+from .scalar import ONE, ZERO, Scalar, as_scalar, q_factorial, qpow
+from .triad import BUILTIN_SPECS, SuiteResult, verify_connection, verify_degrees
 
 DEFAULT_SEED = 7
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    lines: list[tuple[bool, str]] = field(default_factory=list)
-
-    def check(self, ok: bool, text: str) -> None:
-        self.lines.append((ok, text))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for ok, _ in self.lines)
-
-    def render(self) -> list[str]:
-        return [f"{'PASS' if ok else 'FAIL'} {self.name}: {text}" for ok, text in self.lines]
 
 
 # -- independent integer references ------------------------------------------
@@ -89,6 +75,19 @@ def _int_stirling1(n: int, k: int) -> int:
 def _q_binomial_by_factorials(n: int, k: int):
     # independent of the weighted-selection route
     return q_factorial(n) / (q_factorial(k) * q_factorial(n - k))
+
+
+def _q_binomial_table(rows: int) -> list[list[Scalar]]:
+    # q-Pascal recurrence; independent of the second_kind route
+    table = [[ONE]]
+    for n in range(1, rows + 1):
+        prev = table[n - 1]
+        row = [ONE]
+        for k in range(1, n):
+            row.append(prev[k - 1] + qpow(k) * prev[k])
+        row.append(ONE)
+        table.append(row)
+    return table
 
 
 def _random_weights(rng: random.Random, max_len: int, low: int = -5, high: int = 5) -> WeightVector:
@@ -178,13 +177,44 @@ def suite_propositions(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteResul
 
 
 def suite_corollary(limit: int = 12) -> SuiteResult:
-    """Classical summation identities recovered from the decomposition."""
+    """Summation identities recovered from the last-box decomposition.
+
+    Checked for all n, k <= limit:
+
+      1. hockey stick:        binom(n+k+1, k+1) = sum_i binom(k+i, k)
+      2. column sum:          binom(n+1, k+1)   = sum_i binom(i, k)
+      3. q-hockey stick:      qbinom(n+k+1, k+1) = sum_i q^i * qbinom(k+i, k)
+
+    Two further variants sometimes listed alongside these are excluded: as
+    commonly printed they equate mismatched quantities and admit no
+    consistent reading, so there is nothing well-formed to verify.
+    """
     result = SuiteResult("corollary")
-    report = classical_identity_suite(limit)
-    for label, ok in report.checks:
-        result.check(ok, label)
-    for note in report.notes:
-        result.check(True, f"note: {note}")
+    top = 2 * limit + 2
+    bins = first_kind_table(ones(top), top)
+    qbins = _q_binomial_table(top)
+
+    def at(table, n, k):
+        return table[n][k] if 0 <= k <= n else ZERO
+
+    ok1 = ok2 = ok3 = True
+    for n in range(limit + 1):
+        for k in range(limit + 1):
+            partial = ZERO
+            partial_q = ZERO
+            for i in range(n + 1):
+                partial = partial + at(bins, k + i, k)
+                partial_q = partial_q + qpow(i) * at(qbins, k + i, k)
+            ok1 = ok1 and at(bins, n + k + 1, k + 1) == partial
+            ok3 = ok3 and at(qbins, n + k + 1, k + 1) == partial_q
+            column = ZERO
+            for i in range(k, n + 1):
+                column = column + at(bins, i, k)
+            ok2 = ok2 and at(bins, n + 1, k + 1) == column
+    result.check(ok1, f"hockey stick, n,k <= {limit}")
+    result.check(ok2, f"column sum, n,k <= {limit}")
+    result.check(ok3, f"q-hockey stick (symbolic q), n,k <= {limit}")
+    result.check(True, "note: two ill-formed printed variants excluded (no consistent reading)")
     return result
 
 
@@ -259,11 +289,15 @@ def suite_operator(limit: int = 10, depth: int = 12) -> SuiteResult:
     return result
 
 
+_GENFUN_K_MAX = 6
+_PSI_DEFAULTS = ("classical", "qfact", "fibonacci")
+
+
 def suite_genfun(
     order: int = 20,
-    k_max: int = 6,
+    k_max: int = _GENFUN_K_MAX,
     n_max: int = 12,
-    psi_names: tuple[str, ...] = ("classical", "qfact", "fibonacci"),
+    psi_names: tuple[str, ...] = _PSI_DEFAULTS,
 ) -> SuiteResult:
     """Generating-function identities for the deformed Stirling triangles."""
     result = SuiteResult("genfun")
@@ -276,7 +310,26 @@ def suite_genfun(
     return result
 
 
-SUITE_NAMES = ("triad", "konvalina-oracle", "propositions", "corollary", "families", "operator", "genfun")
+def _run_genfun(order: int | None, psi: str | None, **_) -> SuiteResult:
+    order = 20 if order is None else order
+    if order < _GENFUN_K_MAX:
+        raise ValueError(f"--order must be at least {_GENFUN_K_MAX} for the genfun suite, got {order}")
+    return suite_genfun(order, psi_names=_PSI_DEFAULTS if psi is None else (psi,))
+
+
+# Each runner takes the options seed, rows, order and psi by keyword and
+# ignores the ones its suite has no use for.
+SUITE_RUNNERS: dict[str, Callable[..., SuiteResult]] = {
+    "triad": lambda rows, **_: suite_triad(25 if rows is None else rows),
+    "konvalina-oracle": lambda seed, **_: suite_konvalina_oracle(seed=seed),
+    "propositions": lambda seed, **_: suite_propositions(seed=seed),
+    "corollary": lambda rows, **_: suite_corollary(12 if rows is None else rows),
+    "families": lambda rows, **_: suite_families(12 if rows is None else rows),
+    "operator": lambda **_: suite_operator(),
+    "genfun": _run_genfun,
+}
+
+SUITE_NAMES = tuple(SUITE_RUNNERS)
 
 
 def run_suites(
@@ -288,21 +341,8 @@ def run_suites(
 ) -> list[SuiteResult]:
     results = []
     for name in names:
-        if name == "triad":
-            results.append(suite_triad(rows if rows is not None else 25))
-        elif name == "konvalina-oracle":
-            results.append(suite_konvalina_oracle(seed=seed))
-        elif name == "propositions":
-            results.append(suite_propositions(seed=seed))
-        elif name == "corollary":
-            results.append(suite_corollary(rows if rows is not None else 12))
-        elif name == "families":
-            results.append(suite_families(rows if rows is not None else 12))
-        elif name == "operator":
-            results.append(suite_operator())
-        elif name == "genfun":
-            psi_names = (psi,) if psi is not None else ("classical", "qfact", "fibonacci")
-            results.append(suite_genfun(order if order is not None else 20, psi_names=psi_names))
-        else:
+        runner = SUITE_RUNNERS.get(name)
+        if runner is None:
             raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES + ('all',)}")
+        results.append(runner(seed=seed, rows=rows, order=order, psi=psi))
     return results

@@ -18,7 +18,7 @@ which :func:`verify_connection` checks by direct symbolic assembly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -137,33 +137,32 @@ def dual_polynomials(spec: TriadSpec, count: int) -> list[Poly]:
     return phis
 
 
-@dataclass(frozen=True)
-class ConnectionReport:
-    """Outcome of checking x^n = sum_k c[n][k]*phi_k row by row."""
+@dataclass
+class SuiteResult:
+    """Named batch of check lines, each an (ok, text) pair, in the order run."""
 
-    spec_name: str | None
-    depth: int
-    failures: tuple[tuple[int, Poly], ...]
+    name: str
+    lines: list[tuple[bool, str]] = field(default_factory=list)
+
+    def check(self, ok: bool, text: str) -> None:
+        self.lines.append((ok, text))
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return all(ok for ok, _ in self.lines)
 
-    def lines(self) -> list[str]:
-        label = self.spec_name or "spec"
-        if self.ok:
-            return [f"PASS connection {label}: x^n recovered for all n <= {self.depth}"]
-        return [
-            f"FAIL connection {label} at n={n}: residual {residual}"
-            for n, residual in self.failures
-        ]
+    def render(self) -> list[str]:
+        return [f"{'PASS' if ok else 'FAIL'} {self.name}: {text}" for ok, text in self.lines]
 
 
-def verify_connection(spec: TriadSpec, rows: int) -> ConnectionReport:
-    """Assemble sum_k c[n][k]*phi_k exactly for each n and compare with x^n."""
+def verify_connection(spec: TriadSpec, rows: int) -> SuiteResult:
+    """Assemble sum_k c[n][k]*phi_k exactly for each n and compare with x^n.
+
+    One FAIL line per row n whose residual is nonzero; one PASS line if none.
+    """
     table = coefficient_table(spec, rows)
     phis = dual_polynomials(spec, rows)
-    failures = []
+    report = SuiteResult(f"connection {spec.name or 'spec'}")
     target = P_ONE
     for n in range(rows + 1):
         assembled = P_ZERO
@@ -172,10 +171,12 @@ def verify_connection(spec: TriadSpec, rows: int) -> ConnectionReport:
                 assembled = assembled + phis[k].scale(coeff)
         residual = assembled - target
         if not residual.is_zero():
-            failures.append((n, residual))
+            report.check(False, f"n={n}: residual {residual}")
         if n < rows:
             target = target.times_x()
-    return ConnectionReport(spec.name, rows, tuple(failures))
+    if not report.lines:
+        report.check(True, f"x^n recovered for all n <= {rows}")
+    return report
 
 
 def verify_degrees(spec: TriadSpec, count: int) -> bool:

@@ -1,13 +1,14 @@
 """Command-line behavior: golden outputs, exit codes, determinism."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from triads import cli
-from triads.scalar import parse_scalar
-from triads.suites import SUITE_NAMES, SuiteResult
+from triads import cli, suites, triad
+from triads.scalar import ONE, parse_scalar
+from triads.suites import SUITE_NAMES, SUITE_RUNNERS, SuiteResult, run_suites
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -272,3 +273,76 @@ def test_konvalina_negative_length_is_usage_error(capsys, extra):
     code, out, err = run(capsys, "konvalina", "--weights", "ones", "--length", "-1", *extra)
     assert code == 2 and out == ""
     assert err == "error: --length must be nonnegative\n"
+
+
+_DEEP_EXPRESSIONS = ["(" * 400 + "1" + ")" * 400, "-" * 2000 + "1"]
+
+
+@pytest.mark.parametrize("text", _DEEP_EXPRESSIONS)
+def test_deeply_nested_weights_are_usage_error(capsys, text):
+    code, out, err = run(capsys, "konvalina", f"--weights={text}", "--k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad --weights value:") and "nested too deeply" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", _DEEP_EXPRESSIONS)
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_deeply_nested_spec_entry_is_usage_error(capsys, tmp_path, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"i": ["1"] * 4, "q": [text, "1", "1", "1"], "d": ["0"] * 4}))
+    code, out, err = run(capsys, command, "--spec", str(path), "--rows", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order", ["3", "5", "-1"])
+def test_verify_genfun_order_below_minimum_is_usage_error(capsys, order):
+    code, out, err = run(capsys, "verify", "--suite", "genfun", "--order", order)
+    assert code == 2 and out == ""
+    assert err == f"error: --order must be at least 6 for the genfun suite, got {order}\n"
+
+
+def test_verify_genfun_order_at_minimum_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "genfun", "--order", "6")
+    assert code == 0 and "order 6" in out
+
+
+def test_verify_spec_failure_names_row_and_residual(capsys, monkeypatch):
+    # adding 1 to c[3][1] of pascal adds phi_1 = x - 1 to row 3 only
+    correct = triad.coefficient_table
+
+    def perturbed(spec, rows):
+        table = [list(row) for row in correct(spec, rows)]
+        table[3][1] = table[3][1] + ONE
+        return triad.TriadTable(table)
+
+    monkeypatch.setattr(triad, "coefficient_table", perturbed)
+    code, out, _ = run(capsys, "verify", "--spec", "pascal", "--rows", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL connection pascal: n=3: residual x - 1",
+        "PASS degrees pascal: deg phi_k = k for k <= 4",
+    ]
+
+
+def _verify_suite_choices() -> tuple[str, ...]:
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    return tuple(suite.choices)
+
+
+def test_suite_registry_matches_names_and_cli_choices():
+    assert tuple(SUITE_RUNNERS) == SUITE_NAMES
+    assert _verify_suite_choices() == SUITE_NAMES + ("all",)
+    for name in SUITE_RUNNERS:
+        # the benchmark worker looks suites up by this name
+        assert callable(getattr(suites, "suite_" + name.replace("-", "_")))
+
+
+def test_run_suites_unknown_name_lists_the_names():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'") as info:
+        run_suites(["bogus"])
+    for name in SUITE_NAMES + ("all",):
+        assert repr(name) in str(info.value)

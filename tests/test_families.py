@@ -4,20 +4,19 @@ import pytest
 
 from triads.families import (
     FAMILIES,
+    Family,
     NotATriadError,
     cross_check,
     family_table,
     family_value,
     get_family,
-    stirling1_parameter_spec,
-    stirling1_recurrence_holds,
 )
 from triads.konvalina import first_kind_oracle, naturals
 from triads.scalar import ONE, ZERO, as_scalar, parse_scalar
-from triads.triad import coefficient_table, verify_connection
 
 from .oracles import (
     bell_numbers,
+    int_stirling1,
     q_binomial_by_factorials,
     stirling1_by_enumeration,
     stirling2_by_enumeration,
@@ -67,6 +66,18 @@ def test_cross_checks_pass_at_depth_twelve():
     assert cross_check("gauss", 12).ok
 
 
+def test_cross_check_names_the_mismatching_entry():
+    pascal = get_family("pascal")
+
+    def perturbed(n, k):
+        return pascal.value(n, k) + (ONE if (n, k) == (3, 1) else ZERO)
+
+    report = cross_check(Family("pascal", perturbed, pascal.triad_builder), 4)
+    assert not report.ok
+    assert report.render() == ["FAIL cross-check pascal: (n=3, k=1): triad 3 != weighted 4"]
+    assert cross_check("pascal", 4).render() == ["PASS cross-check pascal: triad agrees with weighted form, n <= 4"]
+
+
 def test_stirling1_is_not_a_triad():
     with pytest.raises(NotATriadError):
         cross_check("stirling1", 4)
@@ -75,24 +86,12 @@ def test_stirling1_is_not_a_triad():
 
 
 def test_stirling1_recurrence():
-    assert stirling1_recurrence_holds(10)
+    # int_stirling1 is the two-term recurrence [n k] = (n-1)[n-1 k] + [n-1 k-1]
+    for n in range(11):
+        for k in range(n + 1):
+            assert family_value("stirling1", n, k) == as_scalar(int_stirling1(n, k))
     assert family_value("stirling1", 0, 0) == ONE
     assert family_value("stirling1", 3, 0) == ZERO
-
-
-def test_stirling1_parameter_specs_are_plain_triads():
-    # each fixed parameter gives a valid constant-coefficient spec; no link
-    # to the stirling1 triangle is claimed
-    for n in (1, 2, 5):
-        spec = stirling1_parameter_spec(n)
-        assert verify_connection(spec, 6).ok
-    one_param = coefficient_table(stirling1_parameter_spec(4), 4)
-    mismatch = any(
-        one_param.entry(n, k) != family_value("stirling1", n, k)
-        for n in range(5)
-        for k in range(n + 1)
-    )
-    assert mismatch
 
 
 def test_gauss_at_q_one_is_pascal():

@@ -11,7 +11,6 @@ from triads.konvalina import (
     _first_kind_row,
     _second_kind_row,
     binomial,
-    classical_identity_suite,
     first_kind,
     first_kind_oracle,
     first_kind_table,
@@ -27,6 +26,7 @@ from triads.konvalina import (
     split_identity,
 )
 from triads.scalar import ONE, Q, ZERO, as_scalar, parse_scalar, qpow
+from triads.suites import suite_corollary
 
 from .oracles import newton_complete, newton_elementary, q_binomial_by_factorials
 
@@ -176,9 +176,9 @@ def test_hockey_stick_instance():
 
 
 def test_classical_identity_suite_passes():
-    report = classical_identity_suite(8)
+    report = suite_corollary(8)
     assert report.ok
-    assert any("excluded" in note for note in report.notes)
+    assert any("excluded" in text for _, text in report.lines)
 
 
 def test_q_hockey_stick_needs_q_weights():

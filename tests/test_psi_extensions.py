@@ -5,7 +5,6 @@ import pytest
 from triads.konvalina import first_kind_oracle, second_kind_oracle
 from triads.psi import get_psi, n_psi
 from triads.psi_extensions import (
-    PsiWeightVector,
     comtet_transform,
     psi_stirling_first,
     psi_stirling_second,
@@ -72,8 +71,6 @@ def test_outside_triangle_raises():
 
 def test_psi_weight_vector_materialization():
     fib = get_psi("fibonacci")
-    pw = PsiWeightVector(fib, (2, 4, 5))
-    assert pw.materialize().weights == (n_psi(fib, 2), n_psi(fib, 4), n_psi(fib, 5))
     assert psi_weights(fib, 4).weights == tuple(n_psi(fib, j) for j in range(1, 5))
     assert len(psi_weights(fib, 0)) == 0
 

@@ -101,7 +101,8 @@ def test_fraction_text_form():
 
 
 def test_parse_errors():
-    for bad in ("", "q +", "1 ^ q", "(1 + q", "2 $ 3", "q^^2"):
+    deep = ("(" * 400 + "1" + ")" * 400, "-" * 2000 + "1")  # past the recursion limit
+    for bad in ("", "q +", "1 ^ q", "(1 + q", "2 $ 3", "q^^2") + deep:
         with pytest.raises(ParseError):
             parse_scalar(bad)
 
