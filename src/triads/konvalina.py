@@ -8,12 +8,16 @@ gives the second-kind coefficient -- the complete homogeneous h_k.
 Each kind comes in two computational routes that the test suite plays
 against each other:
 
-  * ``*_oracle``   -- direct enumeration of the index tuples (the
-                      definitional, anti-regression route; exponential,
-                      intended for the desk scale),
-  * ``first_kind`` / ``second_kind``, the ``_*_row`` helpers they read
-    their value from (all of e_0..e_k or h_0..h_k in one pass) and the
-    ``*_table`` builders -- the two-term last-box recurrences.
+  * ``first_kind_oracle`` / ``second_kind_oracle`` -- direct enumeration
+    of the index tuples, one enumerator fed ``combinations`` or
+    ``combinations_with_replacement`` (the definitional, anti-regression
+    route; exponential, intended for the desk scale; it shares no code
+    with the recurrence),
+  * one last-box pass, ``_last_box_rows``, adding the boxes one at a
+    time; the kinds differ only in the order it updates the columns.
+    ``first_kind`` / ``second_kind`` (and ``split_identity``) read its last
+    state, the ``*_table`` builders copy every state, and
+    ``last_box_identity`` sums its states against the weights.
 
 ``second_kind_triangle`` is the (n, k)-indexed reshaping of the second
 kind (value S_{n-k}^k) computed through its own flipped recurrence, the
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .scalar import ONE, Scalar, ZERO, as_scalar, qpow
 
@@ -92,64 +96,69 @@ WEIGHT_RULES = {"ones": ones, "naturals": naturals, "qpowers": qpowers}
 
 # -- definitional oracles ----------------------------------------------------
 
-def first_kind_oracle(w: WeightVector, k: int) -> Scalar:
-    """Sum of products over strictly increasing index tuples (enumeration)."""
+def _enumerate(w: WeightVector, k: int, index_tuples) -> Scalar:
+    """Sum of the products of the k-tuples of weights that ``index_tuples`` draws."""
     if k < 0:
         return ZERO
     if k == 0:
         return ONE
-    if k > len(w):
-        return ZERO
     values = w.constant_values()
     if values is not None:
-        return as_scalar(Fraction(sum(math.prod(c) for c in combinations(values, k))))
+        return as_scalar(Fraction(sum(math.prod(c) for c in index_tuples(values, k))))
     total = ZERO
-    for combo in combinations(w.weights, k):
+    for combo in index_tuples(w.weights, k):
         term = ONE
         for s in combo:
             term = term * s
         total = total + term
     return total
+
+
+def first_kind_oracle(w: WeightVector, k: int) -> Scalar:
+    """Sum of products over strictly increasing index tuples (enumeration)."""
+    return _enumerate(w, k, combinations)
 
 
 def second_kind_oracle(w: WeightVector, k: int) -> Scalar:
     """Sum of products over weakly increasing index tuples (enumeration)."""
-    if k < 0:
-        return ZERO
-    if k == 0:
-        return ONE
-    if len(w) == 0:
-        return ZERO
-    values = w.constant_values()
-    if values is not None:
-        return as_scalar(Fraction(sum(math.prod(c) for c in combinations_with_replacement(values, k))))
-    total = ZERO
-    for combo in combinations_with_replacement(w.weights, k):
-        term = ONE
-        for s in combo:
-            term = term * s
-        total = total + term
-    return total
+    return _enumerate(w, k, combinations_with_replacement)
 
 
-# -- recurrence fast paths ---------------------------------------------------
+# -- the last-box recurrence -------------------------------------------------
+
+def _last_box_rows(w: WeightVector, k: int, kind: str) -> Iterator[list[Scalar]]:
+    """Values 0..k of the kind over the first 0, 1, .., n boxes, in one pass.
+
+    Adding box i sets dp[j] = dp[j] + w_i*dp[j-1] for every column j.  The
+    kinds differ only in the column order: first kind runs k..1, so dp[j-1]
+    does not yet count box i (each box at most once), and starts at column
+    i, since the columns above it are still zero; second kind runs 1..k, so
+    dp[j-1] already counts box i (a box may repeat).  Every state is the
+    same live list; a caller that keeps one copies it.
+    """
+    dp = [ONE] + [ZERO] * k
+    first = kind == "first"
+    yield dp
+    for i, wi in enumerate(w.weights, start=1):
+        for j in range(min(i, k), 0, -1) if first else range(1, k + 1):
+            dp[j] = dp[j] + wi * dp[j - 1]
+        yield dp
+
+
+def _last_state(rows: Iterator[list[Scalar]]) -> list[Scalar]:
+    for dp in rows:
+        pass
+    return dp
+
 
 def _first_kind_row(w: WeightVector, k: int) -> list[Scalar]:
-    """e_0..e_k of the weights, all from one pass of the last-box recurrence."""
-    dp = [ONE] + [ZERO] * k
-    for i, wi in enumerate(w.weights, start=1):
-        for j in range(min(i, k), 0, -1):
-            dp[j] = dp[j] + wi * dp[j - 1]
-    return dp
+    """e_0..e_k of the weights."""
+    return _last_state(_last_box_rows(w, k, "first"))
 
 
 def _second_kind_row(w: WeightVector, k: int) -> list[Scalar]:
-    """h_0..h_k of the weights, all from one pass of the last-box recurrence."""
-    dp = [ONE] + [ZERO] * k
-    for wi in w.weights:
-        for j in range(1, k + 1):
-            dp[j] = dp[j] + wi * dp[j - 1]
-    return dp
+    """h_0..h_k of the weights."""
+    return _last_state(_last_box_rows(w, k, "second"))
 
 
 def first_kind(w: WeightVector, k: int) -> Scalar:
@@ -168,33 +177,20 @@ def second_kind(w: WeightVector, k: int) -> Scalar:
 
 def first_kind_table(w: WeightVector, rows: int) -> list[list[Scalar]]:
     """Triangular table of first-kind values through the given box count."""
+    if rows < 0:
+        raise ValueError("row count must be nonnegative")
     if rows > len(w):
         raise ValueError(f"table of {rows} rows needs {rows} weights, got {len(w)}")
-    table = [[ONE]]
-    for n in range(1, rows + 1):
-        prev = table[n - 1]
-        wn = w.w(n)
-        row = [ONE]
-        for k in range(1, n + 1):
-            upper = prev[k] if k < n else ZERO
-            row.append(upper + wn * prev[k - 1])
-        table.append(row)
-    return table
+    return [dp[: n + 1] for n, dp in enumerate(_last_box_rows(w.prefix(rows), rows, "first"))]
 
 
 def second_kind_table(w: WeightVector, k_max: int, n_max: int) -> list[list[Scalar]]:
     """Rectangular table: entry [n][k] is the second-kind value for n boxes."""
+    if k_max < 0 or n_max < 0:
+        raise ValueError("table sizes must be nonnegative")
     if n_max > len(w):
         raise ValueError(f"table over {n_max} boxes needs {n_max} weights, got {len(w)}")
-    table = [[ONE] + [ZERO] * k_max]
-    for n in range(1, n_max + 1):
-        prev = table[n - 1]
-        wn = w.w(n)
-        row = [ONE]
-        for k in range(1, k_max + 1):
-            row.append(prev[k] + wn * row[k - 1])
-        table.append(row)
-    return table
+    return [dp[:] for dp in _last_box_rows(w.prefix(n_max), k_max, "second")]
 
 
 def second_kind_triangle(w: WeightVector, n: int, k: int) -> Scalar:
@@ -222,22 +218,24 @@ def second_kind_triangle(w: WeightVector, n: int, k: int) -> Scalar:
 # -- identity checks ---------------------------------------------------------
 
 def last_box_identity(w: WeightVector, k: int, kind: str = "first") -> bool:
-    """Decomposition by the last selected box, summed over the box index."""
-    n = len(w)
+    """Decomposition by the last selected box, summed over the box index.
+
+    The rhs sums w_i times the value k-1 over boxes 1..i-1 (first kind) or
+    1..i (second kind), all read from one pass over the weights.
+    """
     if k == 0:
         return True
-    if kind == "first":
-        lhs = first_kind(w, k)
-        rhs = ZERO
-        for i in range(1, n + 1):
-            rhs = rhs + w.w(i) * first_kind(w.prefix(i - 1), k - 1)
-    elif kind == "second":
-        lhs = second_kind(w, k)
-        rhs = ZERO
-        for i in range(1, n + 1):
-            rhs = rhs + w.w(i) * second_kind(w.prefix(i), k - 1)
-    else:
+    if kind not in ("first", "second"):
         raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
+    if k < 0:
+        return True
+    lhs = first_kind(w, k) if kind == "first" else second_kind(w, k)
+    states = _last_box_rows(w, k - 1, kind)
+    if kind == "second":
+        next(states)
+    rhs = ZERO
+    for wi, dp in zip(w.weights, states):
+        rhs = rhs + wi * dp[k - 1]
     return lhs == rhs
 
 

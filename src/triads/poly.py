@@ -36,6 +36,11 @@ def degree_cap() -> int:
     return _DEGREE_CAP
 
 
+def _check_degree(degree: int) -> None:
+    if degree > _DEGREE_CAP:
+        raise DegreeLimitError(f"degree {degree} exceeds cap {_DEGREE_CAP}")
+
+
 class Poly:
     """Polynomial in x with Scalar coefficients."""
 
@@ -47,10 +52,7 @@ class Poly:
             cs.pop()
         if not cs:
             cs = [ZERO]
-        if len(cs) - 1 > _DEGREE_CAP:
-            raise DegreeLimitError(
-                f"degree {len(cs) - 1} exceeds cap {_DEGREE_CAP}; raise it with set_degree_cap()"
-            )
+        _check_degree(len(cs) - 1)
         self.coeffs = tuple(cs)
 
     @classmethod
@@ -100,10 +102,7 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return P_ZERO
         deg = self.degree() + other.degree()
-        if deg > _DEGREE_CAP:
-            raise DegreeLimitError(
-                f"product degree {deg} exceeds cap {_DEGREE_CAP}; raise it with set_degree_cap()"
-            )
+        _check_degree(deg)
         out = [ZERO] * (deg + 1)
         for i, ai in enumerate(self.coeffs):
             if not ai.is_zero():
@@ -141,10 +140,7 @@ class Poly:
         """Multiply by x, raising the degree by one."""
         if self.is_zero():
             return P_ZERO
-        if self.degree() + 1 > _DEGREE_CAP:
-            raise DegreeLimitError(
-                f"degree {self.degree() + 1} exceeds cap {_DEGREE_CAP}; raise it with set_degree_cap()"
-            )
+        _check_degree(self.degree() + 1)
         return Poly._raw((ZERO,) + self.coeffs)
 
     def eval(self, s: Scalar | int | Fraction) -> Scalar:
@@ -178,8 +174,7 @@ def x_power(k: int) -> Poly:
     """The monomial x^k."""
     if k < 0:
         raise ValueError("x_power expects k >= 0")
-    if k > _DEGREE_CAP:
-        raise DegreeLimitError(f"degree {k} exceeds cap {_DEGREE_CAP}")
+    _check_degree(k)
     return Poly._raw((ZERO,) * k + (ONE,))
 
 

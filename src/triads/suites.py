@@ -46,8 +46,8 @@ from .operators import (
 )
 from .psi import get_psi
 from .psi_extensions import psi_stirling_first, psi_stirling_second
-from .scalar import ONE, ZERO, Scalar, as_scalar, q_factorial, qpow
-from .triad import BUILTIN_SPECS, SuiteResult, verify_connection, verify_degrees
+from .scalar import ZERO, as_scalar, q_factorial, qpow
+from .triad import BUILTIN_SPECS, SuiteResult, coefficient_table, gauss_spec, verify_connection, verify_degrees
 
 DEFAULT_SEED = 7
 
@@ -75,19 +75,6 @@ def _int_stirling1(n: int, k: int) -> int:
 def _q_binomial_by_factorials(n: int, k: int):
     # independent of the weighted-selection route
     return q_factorial(n) / (q_factorial(k) * q_factorial(n - k))
-
-
-def _q_binomial_table(rows: int) -> list[list[Scalar]]:
-    # q-Pascal recurrence; independent of the second_kind route
-    table = [[ONE]]
-    for n in range(1, rows + 1):
-        prev = table[n - 1]
-        row = [ONE]
-        for k in range(1, n):
-            row.append(prev[k - 1] + qpow(k) * prev[k])
-        row.append(ONE)
-        table.append(row)
-    return table
 
 
 def _random_weights(rng: random.Random, max_len: int, low: int = -5, high: int = 5) -> WeightVector:
@@ -192,7 +179,8 @@ def suite_corollary(limit: int = 12) -> SuiteResult:
     result = SuiteResult("corollary")
     top = 2 * limit + 2
     bins = first_kind_table(ones(top), top)
-    qbins = _q_binomial_table(top)
+    # q-Pascal: c[n+1][k] = c[n][k-1] + q^k c[n][k]; independent of the second_kind route
+    qbins = coefficient_table(gauss_spec(), top).rows
 
     def at(table, n, k):
         return table[n][k] if 0 <= k <= n else ZERO
@@ -311,10 +299,7 @@ def suite_genfun(
 
 
 def _run_genfun(order: int | None, psi: str | None, **_) -> SuiteResult:
-    order = 20 if order is None else order
-    if order < _GENFUN_K_MAX:
-        raise ValueError(f"--order must be at least {_GENFUN_K_MAX} for the genfun suite, got {order}")
-    return suite_genfun(order, psi_names=_PSI_DEFAULTS if psi is None else (psi,))
+    return suite_genfun(20 if order is None else order, psi_names=_PSI_DEFAULTS if psi is None else (psi,))
 
 
 # Each runner takes the options seed, rows, order and psi by keyword and
@@ -339,10 +324,10 @@ def run_suites(
     order: int | None = None,
     psi: str | None = None,
 ) -> list[SuiteResult]:
-    results = []
+    # every argument is checked before the first suite runs
     for name in names:
-        runner = SUITE_RUNNERS.get(name)
-        if runner is None:
+        if name not in SUITE_RUNNERS:
             raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES + ('all',)}")
-        results.append(runner(seed=seed, rows=rows, order=order, psi=psi))
-    return results
+    if "genfun" in names and order is not None and order < _GENFUN_K_MAX:
+        raise ValueError(f"--order must be at least {_GENFUN_K_MAX} for the genfun suite, got {order}")
+    return [SUITE_RUNNERS[name](seed=seed, rows=rows, order=order, psi=psi) for name in names]

@@ -239,6 +239,15 @@ def test_verify_all_matches_golden_output(capsys):
     assert out.encode() == (GOLDEN / "verify_all_seed7.txt").read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_konvalina_table_json_matches_golden(capsys, kind):
+    code, out, _ = run(
+        capsys, "konvalina", "--weights", "qpowers", "--length", "4", "--kind", kind, "--table", "--format", "json"
+    )
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"konvalina_qpowers4_{kind}.json").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["verify", "table"])
 def test_spec_division_by_zero_is_usage_error(capsys, tmp_path, command):
     path = tmp_path / "pole.json"
@@ -301,6 +310,17 @@ def test_verify_genfun_order_below_minimum_is_usage_error(capsys, order):
     code, out, err = run(capsys, "verify", "--suite", "genfun", "--order", order)
     assert code == 2 and out == ""
     assert err == f"error: --order must be at least 6 for the genfun suite, got {order}\n"
+
+
+@pytest.mark.parametrize("suite", ["all", "genfun"])
+def test_verify_bad_order_runs_no_suite(capsys, monkeypatch, suite):
+    def must_not_run(**_):
+        raise AssertionError("a suite ran before --order was checked")
+
+    monkeypatch.setattr(suites, "SUITE_RUNNERS", dict.fromkeys(SUITE_NAMES, must_not_run))
+    code, out, err = run(capsys, "verify", "--suite", suite, "--order", "3")
+    assert code == 2 and out == ""
+    assert err == "error: --order must be at least 6 for the genfun suite, got 3\n"
 
 
 def test_verify_genfun_order_at_minimum_passes(capsys):

@@ -51,6 +51,8 @@ def test_first_kind_table_rows():
     assert first_kind_table(ones(0), 0) == [[ONE]]
     with pytest.raises(ValueError):
         first_kind_table(ones(2), 3)
+    with pytest.raises(ValueError):
+        first_kind_table(ones(2), -1)
 
 
 def test_second_kind_table_values():
@@ -58,6 +60,10 @@ def test_second_kind_table_values():
     assert table[2][2] == as_scalar(7)
     assert all(row[0] == ONE for row in table)
     assert second_kind_table(WeightVector.of([ONE, Q]), 1, 2)[2][1] == ONE + Q
+    assert second_kind_table(ones(2), 0, 0) == [[ONE]]
+    for k_max, n_max in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            second_kind_table(ones(2), k_max, n_max)
 
 
 def test_triangle_reindexing_matches_substitution():
@@ -102,8 +108,12 @@ def test_last_box_identity_examples():
     assert last_box_identity(ones(5), 3, "first")
     assert last_box_identity(naturals(4), 2, "second")
     assert last_box_identity(ones(4), 0, "first")  # vacuous
-    with pytest.raises(ValueError):
-        last_box_identity(ones(3), 1, "third")
+    assert last_box_identity(ones(4), 0, "third")
+    assert last_box_identity(ones(4), -1, "first") and last_box_identity(ones(4), -1, "second")
+    assert last_box_identity(ones(2), 3, "first") and last_box_identity(WeightVector.of([]), 2, "second")
+    for k in (1, -1):
+        with pytest.raises(ValueError):
+            last_box_identity(ones(3), k, "third")
 
 
 def test_split_identity_examples():
@@ -156,6 +166,14 @@ def test_recurrence_rows_match_enumeration(values, k):
     w = WeightVector.of(values)
     assert _first_kind_row(w, k) == [first_kind_oracle(w, j) for j in range(k + 1)]
     assert _second_kind_row(w, k) == [second_kind_oracle(w, j) for j in range(k + 1)]
+    n = len(w)
+    first_rows, second_rows = first_kind_table(w, n), second_kind_table(w, k, n)
+    for m in range(n + 1):
+        prefix = w.prefix(m)
+        assert first_rows[m] == [first_kind_oracle(prefix, j) for j in range(m + 1)]
+        assert second_rows[m] == [second_kind_oracle(prefix, j) for j in range(k + 1)]
+    assert last_box_identity(w, k, "first")
+    assert last_box_identity(w, k, "second")
 
 
 def test_binomial_and_q_binomial_helpers():

@@ -50,6 +50,19 @@ def test_degree_cap_enforced():
         set_degree_cap(old)
 
 
+def test_degree_cap_message_is_the_same_on_every_path():
+    paths = (
+        lambda: x_power(65),
+        lambda: Poly([0] * 65 + [1]),
+        lambda: x_power(40) * x_power(25),
+        lambda: x_power(64).times_x(),
+    )
+    for path in paths:
+        with pytest.raises(DegreeLimitError) as info:
+            path()
+        assert str(info.value) == "degree 65 exceeds cap 64"
+
+
 def test_division_by_constant_only():
     assert (X + X) / as_scalar(2) == X
     with pytest.raises(ValueError):
