@@ -16,7 +16,7 @@ from .scalar import (
     q_integer,
     qpow,
 )
-from .poly import DegreeLimitError, Poly, X, monomial, parse_poly, set_degree_cap, x_power
+from .poly import DegreeLimitError, Poly, X, parse_poly, x_power
 from .triad import (
     SingularTriadError,
     SuiteResult,
@@ -48,7 +48,7 @@ from .konvalina import (
     second_kind_triangle,
     split_identity,
 )
-from .families import FAMILIES, Family, NotATriadError, cross_check, family_table, family_value
+from .families import FAMILIES, NotATriadError, cross_check, family_table, family_triad, family_value
 from .psi import PsiSequence, classical_psi, fibonacci_psi, get_psi, n_psi, psi_factorial, psi_falling, qfact_psi
 from .psi_extensions import comtet_transform, psi_stirling_first, psi_stirling_second, psi_weights
 from .operators import (

@@ -30,7 +30,7 @@ from .psi import PSI_NAMES, get_psi
 from .psi_extensions import psi_stirling_first, psi_stirling_second
 from .scalar import ParseError, PoleError, Scalar, as_scalar
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
-from .triad import coefficient_table, load_spec, verify_connection, verify_degrees
+from .triad import SuiteResult, coefficient_table, load_spec, verify_connection, verify_degrees
 
 TABLE_FAMILIES = tuple(sorted(FAMILIES)) + ("psi-stirling1", "psi-stirling2")
 
@@ -111,6 +111,8 @@ def _weights_from_flag(text: str, length: int | None) -> WeightVector:
         if length is None:
             raise CliError(f"rule {text!r} needs --length")
         return WEIGHT_RULES[text](length)
+    if length is not None:
+        raise CliError(f"--length applies only to the rules {', '.join(WEIGHT_RULES)}")
     try:
         return WeightVector.of([as_scalar(part.strip()) for part in text.split(",")])
     except (ParseError, ZeroDivisionError) as exc:
@@ -142,15 +144,19 @@ def _cmd_verify(args) -> int:
     if args.rows is not None and args.rows < 0:
         raise CliError("--rows must be nonnegative")
     if args.spec is not None:
+        for option in ("order", "psi"):
+            if getattr(args, option) is not None:
+                raise CliError(f"--{option} is read only by --suite, not by --spec")
         spec = load_spec(args.spec)
         rows = args.rows if args.rows is not None else 10
         report = verify_connection(spec, rows)
         for line in report.render():
             print(line)
-        degrees_ok = verify_degrees(spec, rows)
-        label = spec.name or args.spec
-        print(f"{'PASS' if degrees_ok else 'FAIL'} degrees {label}: deg phi_k = k for k <= {rows}")
-        return 0 if report.ok and degrees_ok else 1
+        degrees = SuiteResult(f"degrees {spec.name or args.spec}")
+        degrees.check(verify_degrees(spec, rows), f"deg phi_k = k for k <= {rows}")
+        for line in degrees.render():
+            print(line)
+        return 0 if report.ok and degrees.ok else 1
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed, rows=args.rows, order=args.order, psi=args.psi)
     for result in results:
@@ -204,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--q", type=str, default=None, help="specialize q to this rational")
     table.add_argument("--psi", choices=PSI_NAMES, default="qfact", help="sequence for psi-* families")
     table.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
+    table.set_defaults(run=_cmd_table)
 
     kon = sub.add_parser("konvalina", help="weighted binomial coefficients")
     kon.add_argument("--weights", required=True, help='comma-separated scalars, or rule: ones|naturals|qpowers')
@@ -213,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     kon.add_argument("--table", action="store_true", help="print the whole table instead")
     kon.add_argument("--q", type=str, default=None, help="specialize q to this rational")
     kon.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
+    kon.set_defaults(run=_cmd_konvalina)
 
     ver = sub.add_parser("verify", help="run identity suites or check a triad spec")
     ver.add_argument("--suite", choices=SUITE_NAMES + ("all",), help="suite to run")
@@ -221,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--order", type=int, default=None, help="truncation order for the genfun suite")
     ver.add_argument("--psi", choices=PSI_NAMES, default=None, help="restrict the genfun suite to one sequence")
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized suites")
+    ver.set_defaults(run=_cmd_verify)
 
     op = sub.add_parser("operator", help="apply an operator-array entry to a polynomial")
     op.add_argument("--array", choices=tuple(sorted(OPERATOR_ARRAYS)), required=True)
@@ -229,16 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--psi", choices=PSI_NAMES, default="qfact")
     op.add_argument("--apply", required=True, help='polynomial to act on, e.g. "x^3"')
     op.add_argument("--format", choices=("pretty", "json"), default="pretty")
+    op.set_defaults(run=_cmd_operator)
 
     return parser
-
-
-_COMMANDS = {
-    "table": _cmd_table,
-    "konvalina": _cmd_konvalina,
-    "verify": _cmd_verify,
-    "operator": _cmd_operator,
-}
 
 
 # Options whose value is a scalar expression, which may start with a minus.
@@ -261,23 +263,15 @@ def _attach_leading_minus_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_leading_minus_values(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_attach_leading_minus_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "q", None) is not None:
-        try:
-            args.q = _parse_rational(args.q)
-        except CliError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValueError, IndexError, OverflowError, ZeroDivisionError) as exc:
+        if getattr(args, "q", None) is not None:
+            args.q = _parse_rational(args.q)
+        return args.run(args)
+    except (CliError, ParseError, ValueError, IndexError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,82 +11,72 @@ imported rather than restated:
   gauss       binom(n,k)_q = konvalina.q_binomial: second kind, k balls
                              over (1, q, .., q^(n-k))
 
-pascal, stirling2 and gauss additionally carry a triad spec whose
-coefficient triangle must reproduce the same values; stirling1 satisfies
-the first-kind two-term recurrence but no triad produces its triangle, so
-asking for its triad raises :class:`NotATriadError`.
+A family's triad is the builtin spec of the same name in
+``triad.BUILTIN_SPECS``, whose coefficient triangle must reproduce the
+same values; stirling1 satisfies the first-kind two-term recurrence but
+no triad produces its triangle, so asking for its triad raises
+:class:`NotATriadError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .konvalina import binomial, q_binomial
+from .konvalina import binomial, check_triangle, q_binomial
 from .psi import get_psi
 from .psi_extensions import psi_stirling_first, psi_stirling_second
 from .scalar import Scalar
-from .triad import SuiteResult, TriadSpec, coefficient_table, gauss_spec, pascal_spec, stirling2_spec
+from .triad import BUILTIN_SPECS, SuiteResult, TriadSpec, coefficient_table
 
 
 class NotATriadError(ValueError):
     """The family has no dual polynomial sequence / triad presentation."""
 
 
-@dataclass(frozen=True)
-class Family:
-    name: str
-    value_fn: Callable[[int, int], Scalar]
-    triad_builder: Callable[[], TriadSpec] | None
-
-    def value(self, n: int, k: int) -> Scalar:
-        if not 0 <= k <= n:
-            raise IndexError(f"(n, k) = ({n}, {k}) outside the triangle 0 <= k <= n")
-        return self.value_fn(n, k)
-
-    def triad(self) -> TriadSpec:
-        if self.triad_builder is None:
-            raise NotATriadError(f"family {self.name!r} has no triad presentation")
-        return self.triad_builder()
-
-
-FAMILIES: dict[str, Family] = {
-    "pascal": Family("pascal", binomial, pascal_spec),
-    "stirling2": Family("stirling2", lambda n, k: psi_stirling_second(get_psi("classical"), n, k), stirling2_spec),
-    "stirling1": Family("stirling1", lambda n, k: psi_stirling_first(get_psi("classical"), n, k), None),
-    "gauss": Family("gauss", q_binomial, gauss_spec),
+FAMILIES: dict[str, Callable[[int, int], Scalar]] = {
+    "pascal": binomial,
+    "stirling2": lambda n, k: psi_stirling_second(get_psi("classical"), n, k),
+    "stirling1": lambda n, k: psi_stirling_first(get_psi("classical"), n, k),
+    "gauss": q_binomial,
 }
 
 
-def get_family(name: str) -> Family:
+def _value_fn(name: str) -> Callable[[int, int], Scalar]:
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILIES)}")
     return FAMILIES[name]
 
 
-def family_value(name: str | Family, n: int, k: int) -> Scalar:
-    family = get_family(name) if isinstance(name, str) else name
-    return family.value(n, k)
+def family_value(name: str, n: int, k: int) -> Scalar:
+    value = _value_fn(name)
+    check_triangle(n, k)
+    return value(n, k)
 
 
-def family_table(name: str | Family, rows: int) -> list[list[Scalar]]:
-    family = get_family(name) if isinstance(name, str) else name
-    return [[family.value(n, k) for k in range(n + 1)] for n in range(rows + 1)]
+def family_table(name: str, rows: int) -> list[list[Scalar]]:
+    value = _value_fn(name)
+    return [[value(n, k) for k in range(n + 1)] for n in range(rows + 1)]
 
 
-def cross_check(name: str | Family, rows: int) -> SuiteResult:
+def family_triad(name: str) -> TriadSpec:
+    """The builtin triad spec that presents the family."""
+    _value_fn(name)  # refuses a name that is no family
+    if name not in BUILTIN_SPECS:
+        raise NotATriadError(f"family {name!r} has no triad presentation")
+    return BUILTIN_SPECS[name]()
+
+
+def cross_check(name: str, rows: int) -> SuiteResult:
     """Compare the family's triad triangle entrywise with its weighted mapping.
 
     One FAIL line per mismatching (n, k); one PASS line if there is none.
     """
-    family = get_family(name) if isinstance(name, str) else name
-    spec = family.triad()
-    table = coefficient_table(spec, rows)
-    report = SuiteResult(f"cross-check {family.name}")
+    table = coefficient_table(family_triad(name), rows)
+    report = SuiteResult(f"cross-check {name}")
     for n in range(rows + 1):
         for k in range(n + 1):
             lhs = table.entry(n, k)
-            rhs = family.value(n, k)
+            rhs = family_value(name, n, k)
             if lhs != rhs:
                 report.check(False, f"(n={n}, k={k}): triad {lhs} != weighted {rhs}")
     if not report.lines:

@@ -257,6 +257,12 @@ def split_identity(w: WeightVector, split: int, k: int) -> bool:
     return True
 
 
+def check_triangle(n: int, k: int) -> None:
+    """Raise IndexError unless 0 <= k <= n, the index range of every triangle."""
+    if not 0 <= k <= n:
+        raise IndexError(f"(n, k) = ({n}, {k}) outside the triangle 0 <= k <= n")
+
+
 def binomial(n: int, k: int) -> Scalar:
     """Binomial coefficient as the first kind over unit weights."""
     if k < 0 or n < 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import konvalina
-from .konvalina import WeightVector
+from .konvalina import WeightVector, check_triangle
 from .poly import Poly
 from .psi import PsiSequence, n_psi
 from .scalar import ONE, Scalar, ZERO, as_scalar
@@ -106,11 +106,9 @@ def qhat(psi: PsiSequence, depth: int) -> DiagOp:
     """The deformation operator generated by an admissible sequence."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    lam1 = (n_psi(psi, 2) - ONE) / n_psi(psi, 1)
-    eigen = [lam1]
-    for m in range(1, depth + 1):
-        eigen.append((n_psi(psi, m + 1) - ONE) / n_psi(psi, m))
-    return DiagOp(eigen[: depth + 1])
+    # the ratios at m = 1..depth; eigen[0] repeats the one at m = 1
+    ratios = [(n_psi(psi, m + 1) - ONE) / n_psi(psi, m) for m in range(1, max(depth, 1) + 1)]
+    return DiagOp(ratios[:1] + ratios[:depth])
 
 
 def n_qhat(psi: PsiSequence, n: int, depth: int) -> DiagOp:
@@ -206,24 +204,21 @@ def konkwa_second_kind(ow: OpWeightVector, k: int) -> DiagOp:
 
 def binomial_operator(psi: PsiSequence, n: int, k: int, depth: int) -> DiagOp:
     """Operator-valued binomial array entry."""
-    if not 0 <= k <= n:
-        raise IndexError(f"(n, k) = ({n}, {k}) outside the triangle 0 <= k <= n")
+    check_triangle(n, k)
     entries = qhat_power_entries(qhat(psi, depth), n - k + 1)
     return konkwa_second_kind(entries, k)
 
 
 def stirling2_operator(psi: PsiSequence, n: int, k: int, depth: int) -> DiagOp:
     """Operator-valued Stirling array of the second kind."""
-    if not 0 <= k <= n:
-        raise IndexError(f"(n, k) = ({n}, {k}) outside the triangle 0 <= k <= n")
+    check_triangle(n, k)
     entries = n_qhat_entries(qhat(psi, depth), k)
     return konkwa_second_kind(entries, n - k)
 
 
 def stirling1_operator(psi: PsiSequence, n: int, k: int, depth: int) -> DiagOp:
     """Operator-valued Stirling array of the first kind."""
-    if not 0 <= k <= n:
-        raise IndexError(f"(n, k) = ({n}, {k}) outside the triangle 0 <= k <= n")
+    check_triangle(n, k)
     entries = n_qhat_entries(qhat(psi, depth), max(n - 1, 0))
     return konkwa_first_kind(entries, n - k)
 

@@ -5,8 +5,8 @@ x^j, with the trailing coefficient nonzero except for the zero polynomial.
 The canonical string form is descending, "c_k*x^k + ... + c_0"; the JSON
 form is the ascending list of Scalar text forms.
 
-A configurable degree cap (default 64) guards against runaway symbolic
-growth; operations that would exceed it raise :class:`DegreeLimitError`.
+A fixed degree cap of 64 guards against runaway symbolic growth;
+operations that would exceed it raise :class:`DegreeLimitError`.
 """
 
 from __future__ import annotations
@@ -14,26 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .scalar import ONE, Scalar, ZERO, as_scalar, parse_expression
+from .scalar import ONE, Scalar, ZERO, _wrap, as_scalar, parse_expression
 
 _DEGREE_CAP = 64
 
 
 class DegreeLimitError(OverflowError):
-    """A polynomial operation exceeded the configured degree cap."""
-
-
-def set_degree_cap(cap: int) -> int:
-    """Set the global degree cap, returning the previous value."""
-    global _DEGREE_CAP
-    if cap < 0:
-        raise ValueError("degree cap must be nonnegative")
-    old, _DEGREE_CAP = _DEGREE_CAP, cap
-    return old
-
-
-def degree_cap() -> int:
-    return _DEGREE_CAP
+    """A polynomial operation exceeded the degree cap."""
 
 
 def _check_degree(degree: int) -> None:
@@ -151,9 +138,6 @@ class Poly:
             acc = acc * s + c
         return acc
 
-    def __call__(self, s: Scalar | int | Fraction) -> Scalar:
-        return self.eval(s)
-
     def json_coefficients(self) -> list[str]:
         """Ascending list of Scalar text forms (the JSON wire form)."""
         return [str(c) for c in self.coeffs]
@@ -178,15 +162,6 @@ def x_power(k: int) -> Poly:
     return Poly._raw((ZERO,) * k + (ONE,))
 
 
-def monomial(k: int, coeff: Scalar | int | Fraction = ONE) -> Poly:
-    return x_power(k).scale(coeff)
-
-
-def _coeff_text(c: Scalar) -> str:
-    s = str(c)
-    return f"({s})" if " " in s else s
-
-
 def format_poly(p: Poly) -> str:
     """Descending canonical string form."""
     if p.is_zero():
@@ -200,10 +175,10 @@ def format_poly(p: Poly) -> str:
         negative = c.num.lead() < 0
         mag = -c if negative else c
         if k == 0:
-            body = _coeff_text(mag)
+            body = _wrap(str(mag))
         else:
             power = "x" if k == 1 else f"x^{k}"
-            body = power if mag.is_one() else f"{_coeff_text(mag)}*{power}"
+            body = power if mag.is_one() else f"{_wrap(str(mag))}*{power}"
         if not parts:
             parts.append("-" + body if negative else body)
         else:

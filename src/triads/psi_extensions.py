@@ -16,7 +16,7 @@ factor.
 
 from __future__ import annotations
 
-from .konvalina import WeightVector, first_kind, second_kind
+from .konvalina import WeightVector, check_triangle, first_kind, second_kind
 from .psi import PsiSequence, n_psi
 from .scalar import Scalar, qpow
 
@@ -28,15 +28,13 @@ def psi_weights(psi: PsiSequence, n: int) -> WeightVector:
 
 def psi_stirling_first(psi: PsiSequence, n: int, k: int) -> Scalar:
     """Deformed Stirling triangle of the first kind."""
-    if not 0 <= k <= n:
-        raise IndexError(f"(n, k) = ({n}, {k}) outside the triangle 0 <= k <= n")
+    check_triangle(n, k)
     return first_kind(psi_weights(psi, n - 1), n - k)
 
 
 def psi_stirling_second(psi: PsiSequence, n: int, k: int) -> Scalar:
     """Deformed Stirling triangle of the second kind."""
-    if not 0 <= k <= n:
-        raise IndexError(f"(n, k) = ({n}, {k}) outside the triangle 0 <= k <= n")
+    check_triangle(n, k)
     return second_kind(psi_weights(psi, k), n - k)
 
 

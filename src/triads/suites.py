@@ -3,9 +3,10 @@
 Each suite runs a family of exact identity checks and returns a
 :class:`~triads.triad.SuiteResult` (the package's one report type) whose
 lines are deterministic for a given seed, so repeated runs are
-byte-identical.  ``SUITE_RUNNERS`` maps each suite name to its runner
-and is the one place a suite is registered; ``--suite all`` runs them
-all and is the CI gate.
+byte-identical.  ``SUITE_RUNNERS`` maps each suite name to its suite
+function and the verify options that function reads, and is the one
+place a suite is registered; ``--suite all`` runs them all and is the
+CI gate.
 
 Wherever a suite compares two routes, the routes are independent: tables
 against definitional enumeration, operator eigenvalues against scalar
@@ -163,10 +164,10 @@ def suite_propositions(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteResul
     return result
 
 
-def suite_corollary(limit: int = 12) -> SuiteResult:
+def suite_corollary(rows: int = 12) -> SuiteResult:
     """Summation identities recovered from the last-box decomposition.
 
-    Checked for all n, k <= limit:
+    Checked for all n, k <= rows:
 
       1. hockey stick:        binom(n+k+1, k+1) = sum_i binom(k+i, k)
       2. column sum:          binom(n+1, k+1)   = sum_i binom(i, k)
@@ -177,7 +178,7 @@ def suite_corollary(limit: int = 12) -> SuiteResult:
     consistent reading, so there is nothing well-formed to verify.
     """
     result = SuiteResult("corollary")
-    top = 2 * limit + 2
+    top = 2 * rows + 2
     bins = first_kind_table(ones(top), top)
     # q-Pascal: c[n+1][k] = c[n][k-1] + q^k c[n][k]; independent of the second_kind route
     qbins = coefficient_table(gauss_spec(), top).rows
@@ -186,8 +187,8 @@ def suite_corollary(limit: int = 12) -> SuiteResult:
         return table[n][k] if 0 <= k <= n else ZERO
 
     ok1 = ok2 = ok3 = True
-    for n in range(limit + 1):
-        for k in range(limit + 1):
+    for n in range(rows + 1):
+        for k in range(rows + 1):
             partial = ZERO
             partial_q = ZERO
             for i in range(n + 1):
@@ -199,9 +200,9 @@ def suite_corollary(limit: int = 12) -> SuiteResult:
             for i in range(k, n + 1):
                 column = column + at(bins, i, k)
             ok2 = ok2 and at(bins, n + 1, k + 1) == column
-    result.check(ok1, f"hockey stick, n,k <= {limit}")
-    result.check(ok2, f"column sum, n,k <= {limit}")
-    result.check(ok3, f"q-hockey stick (symbolic q), n,k <= {limit}")
+    result.check(ok1, f"hockey stick, n,k <= {rows}")
+    result.check(ok2, f"column sum, n,k <= {rows}")
+    result.check(ok3, f"q-hockey stick (symbolic q), n,k <= {rows}")
     result.check(True, "note: two ill-formed printed variants excluded (no consistent reading)")
     return result
 
@@ -281,37 +282,32 @@ _GENFUN_K_MAX = 6
 _PSI_DEFAULTS = ("classical", "qfact", "fibonacci")
 
 
-def suite_genfun(
-    order: int = 20,
-    k_max: int = _GENFUN_K_MAX,
-    n_max: int = 12,
-    psi_names: tuple[str, ...] = _PSI_DEFAULTS,
-) -> SuiteResult:
-    """Generating-function identities for the deformed Stirling triangles."""
+def suite_genfun(order: int = 20, k_max: int = _GENFUN_K_MAX, n_max: int = 12, psi: str | None = None) -> SuiteResult:
+    """Generating-function identities for the deformed Stirling triangles.
+
+    ``psi`` restricts the checks to one sequence; by default all three run.
+    """
     result = SuiteResult("genfun")
-    for name in psi_names:
-        psi = get_psi(name)
-        series_ok = all(check_stirling2_series(psi, k, order) for k in range(k_max + 1))
+    for name in _PSI_DEFAULTS if psi is None else (psi,):
+        sequence = get_psi(name)
+        series_ok = all(check_stirling2_series(sequence, k, order) for k in range(k_max + 1))
         result.check(series_ok, f"second-kind column series ({name}), k <= {k_max}, order {order}")
-        poly_ok = all(check_stirling1_polynomial(psi, n) for n in range(1, n_max + 1))
+        poly_ok = all(check_stirling1_polynomial(sequence, n) for n in range(1, n_max + 1))
         result.check(poly_ok, f"first-kind row polynomial ({name}), n <= {n_max}")
     return result
 
 
-def _run_genfun(order: int | None, psi: str | None, **_) -> SuiteResult:
-    return suite_genfun(20 if order is None else order, psi_names=_PSI_DEFAULTS if psi is None else (psi,))
-
-
-# Each runner takes the options seed, rows, order and psi by keyword and
-# ignores the ones its suite has no use for.
-SUITE_RUNNERS: dict[str, Callable[..., SuiteResult]] = {
-    "triad": lambda rows, **_: suite_triad(25 if rows is None else rows),
-    "konvalina-oracle": lambda seed, **_: suite_konvalina_oracle(seed=seed),
-    "propositions": lambda seed, **_: suite_propositions(seed=seed),
-    "corollary": lambda rows, **_: suite_corollary(12 if rows is None else rows),
-    "families": lambda rows, **_: suite_families(12 if rows is None else rows),
-    "operator": lambda **_: suite_operator(),
-    "genfun": _run_genfun,
+# Each entry is a suite and the verify options it reads, by the names of
+# its parameters.  run_suites passes only the options that were set, so
+# every default is the one in the suite's signature.
+SUITE_RUNNERS: dict[str, tuple[Callable[..., SuiteResult], tuple[str, ...]]] = {
+    "triad": (suite_triad, ("rows",)),
+    "konvalina-oracle": (suite_konvalina_oracle, ("seed",)),
+    "propositions": (suite_propositions, ("seed",)),
+    "corollary": (suite_corollary, ("rows",)),
+    "families": (suite_families, ("rows",)),
+    "operator": (suite_operator, ()),
+    "genfun": (suite_genfun, ("order", "psi")),
 }
 
 SUITE_NAMES = tuple(SUITE_RUNNERS)
@@ -319,7 +315,7 @@ SUITE_NAMES = tuple(SUITE_RUNNERS)
 
 def run_suites(
     names: list[str],
-    seed: int = DEFAULT_SEED,
+    seed: int | None = None,
     rows: int | None = None,
     order: int | None = None,
     psi: str | None = None,
@@ -328,6 +324,13 @@ def run_suites(
     for name in names:
         if name not in SUITE_RUNNERS:
             raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES + ('all',)}")
-    if "genfun" in names and order is not None and order < _GENFUN_K_MAX:
+    runners = [SUITE_RUNNERS[name] for name in names]
+    options = dict(seed=seed, rows=rows, order=order, psi=psi)
+    options = {key: value for key, value in options.items() if value is not None}
+    for key in ("rows", "order", "psi"):  # the CLI always sets --seed
+        if key in options and not any(key in reads for _, reads in runners):
+            readers = ", ".join(name for name, (_, reads) in SUITE_RUNNERS.items() if key in reads)
+            raise ValueError(f"--{key} is read by none of the selected suites (only by {readers})")
+    if order is not None and order < _GENFUN_K_MAX:
         raise ValueError(f"--order must be at least {_GENFUN_K_MAX} for the genfun suite, got {order}")
-    return [SUITE_RUNNERS[name](seed=seed, rows=rows, order=order, psi=psi) for name in names]
+    return [suite(**{key: options[key] for key in reads if key in options}) for suite, reads in runners]

@@ -75,9 +75,6 @@ class TriadTable:
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         self.rows = tuple(tuple(row) for row in rows)
 
-    def depth(self) -> int:
-        return len(self.rows) - 1
-
     def row(self, n: int) -> tuple[Scalar, ...]:
         return self.rows[n]
 

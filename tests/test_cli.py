@@ -248,6 +248,26 @@ def test_konvalina_table_json_matches_golden(capsys, kind):
     assert out.encode() == (GOLDEN / f"konvalina_qpowers4_{kind}.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        *(
+            (("table", "--family", name, "--rows", "8", "--format", "json"), f"table_{name}_rows8.json")
+            for name in ("pascal", "stirling1", "stirling2", "gauss")
+        ),
+        (
+            ("table", "--family", "psi-stirling1", "--psi", "fibonacci", "--rows", "8", "--format", "json"),
+            "table_psi-stirling1_fibonacci_rows8.json",
+        ),
+        (("verify", "--spec", "gauss", "--rows", "8"), "verify_spec_gauss_rows8.txt"),
+    ],
+)
+def test_cli_output_matches_golden(capsys, argv, golden):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["verify", "table"])
 def test_spec_division_by_zero_is_usage_error(capsys, tmp_path, command):
     path = tmp_path / "pole.json"
@@ -312,15 +332,75 @@ def test_verify_genfun_order_below_minimum_is_usage_error(capsys, order):
     assert err == f"error: --order must be at least 6 for the genfun suite, got {order}\n"
 
 
+def _forbid_running_suites(monkeypatch):
+    def must_not_run(**_):
+        raise AssertionError("a suite ran before its options were checked")
+
+    runners = {name: (must_not_run, reads) for name, (_, reads) in SUITE_RUNNERS.items()}
+    monkeypatch.setattr(suites, "SUITE_RUNNERS", runners)
+
+
 @pytest.mark.parametrize("suite", ["all", "genfun"])
 def test_verify_bad_order_runs_no_suite(capsys, monkeypatch, suite):
-    def must_not_run(**_):
-        raise AssertionError("a suite ran before --order was checked")
-
-    monkeypatch.setattr(suites, "SUITE_RUNNERS", dict.fromkeys(SUITE_NAMES, must_not_run))
+    _forbid_running_suites(monkeypatch)
     code, out, err = run(capsys, "verify", "--suite", suite, "--order", "3")
     assert code == 2 and out == ""
     assert err == "error: --order must be at least 6 for the genfun suite, got 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--suite", "triad", "--psi", "classical"), "--psi is read by none of the selected suites (only by genfun)"),
+        (
+            ("--suite", "operator", "--rows", "3"),
+            "--rows is read by none of the selected suites (only by triad, corollary, families)",
+        ),
+        (
+            ("--suite", "propositions", "--order", "8"),
+            "--order is read by none of the selected suites (only by genfun)",
+        ),
+        (("--spec", "pascal", "--order", "8"), "--order is read only by --suite, not by --spec"),
+        (("--spec", "pascal", "--psi", "qfact"), "--psi is read only by --suite, not by --spec"),
+    ],
+)
+def test_verify_option_that_nothing_reads_is_usage_error(capsys, monkeypatch, argv, message):
+    _forbid_running_suites(monkeypatch)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_run_suites_passes_only_the_options_each_suite_reads(capsys, monkeypatch):
+    calls = {}
+
+    def recorder(name):
+        def suite(**options):
+            calls[name] = options
+            return SuiteResult(name)
+
+        return suite
+
+    runners = {name: (recorder(name), reads) for name, (_, reads) in SUITE_RUNNERS.items()}
+    monkeypatch.setattr(suites, "SUITE_RUNNERS", runners)
+    code, _, err = run(capsys, "verify", "--suite", "all", "--rows", "4", "--order", "8", "--psi", "qfact")
+    assert (code, err) == (0, "")
+    assert calls == {
+        "triad": {"rows": 4},
+        "konvalina-oracle": {"seed": 7},
+        "propositions": {"seed": 7},
+        "corollary": {"rows": 4},
+        "families": {"rows": 4},
+        "operator": {},
+        "genfun": {"order": 8, "psi": "qfact"},
+    }
+    run_suites(["genfun", "triad"])
+    assert calls["genfun"] == calls["triad"] == {}
+
+
+def test_konvalina_length_with_explicit_weights_is_usage_error(capsys):
+    code, out, err = run(capsys, "konvalina", "--weights", "1,2", "--length", "5", "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --length applies only to the rules ones, naturals, qpowers\n"
 
 
 def test_verify_genfun_order_at_minimum_passes(capsys):

@@ -4,12 +4,11 @@ import pytest
 
 from triads.families import (
     FAMILIES,
-    Family,
     NotATriadError,
     cross_check,
     family_table,
+    family_triad,
     family_value,
-    get_family,
 )
 from triads.konvalina import first_kind_oracle, naturals
 from triads.scalar import ONE, ZERO, as_scalar, parse_scalar
@@ -66,23 +65,26 @@ def test_cross_checks_pass_at_depth_twelve():
     assert cross_check("gauss", 12).ok
 
 
-def test_cross_check_names_the_mismatching_entry():
-    pascal = get_family("pascal")
+def test_cross_check_names_the_mismatching_entry(monkeypatch):
+    assert cross_check("pascal", 4).render() == ["PASS cross-check pascal: triad agrees with weighted form, n <= 4"]
+    pascal = FAMILIES["pascal"]
 
     def perturbed(n, k):
-        return pascal.value(n, k) + (ONE if (n, k) == (3, 1) else ZERO)
+        return pascal(n, k) + (ONE if (n, k) == (3, 1) else ZERO)
 
-    report = cross_check(Family("pascal", perturbed, pascal.triad_builder), 4)
+    monkeypatch.setitem(FAMILIES, "pascal", perturbed)
+    report = cross_check("pascal", 4)
     assert not report.ok
     assert report.render() == ["FAIL cross-check pascal: (n=3, k=1): triad 3 != weighted 4"]
-    assert cross_check("pascal", 4).render() == ["PASS cross-check pascal: triad agrees with weighted form, n <= 4"]
 
 
 def test_stirling1_is_not_a_triad():
     with pytest.raises(NotATriadError):
         cross_check("stirling1", 4)
     with pytest.raises(NotATriadError):
-        get_family("stirling1").triad()
+        family_triad("stirling1")
+    for name in ("pascal", "stirling2", "gauss"):
+        assert family_triad(name).name == name
 
 
 def test_stirling1_recurrence():
@@ -114,5 +116,9 @@ def test_family_table_shape():
 
 
 def test_unknown_family():
-    with pytest.raises(ValueError):
-        get_family("catalan")
+    with pytest.raises(ValueError, match="unknown family 'catalan'"):
+        family_value("catalan", 1, 0)
+    with pytest.raises(ValueError, match="unknown family 'catalan'"):
+        family_table("catalan", 2)
+    with pytest.raises(ValueError, match="unknown family 'catalan'"):
+        family_triad("catalan")

@@ -17,7 +17,7 @@ from triads.operators import (
     stirling2_operator,
 )
 from triads.poly import P_ZERO, parse_poly, x_power
-from triads.psi import get_psi
+from triads.psi import get_psi, n_psi
 from triads.psi_extensions import psi_stirling_first, psi_stirling_second
 from triads.scalar import ONE, Q, as_scalar, q_integer
 
@@ -48,6 +48,20 @@ def test_qhat_of_fibonacci_varies_with_degree():
     assert op.eigenvalue(2) == ONE
     assert op.eigenvalue(4) == (as_scalar(5) - 1) / as_scalar(3)
     assert len(set(op.eigen)) > 1
+
+
+@pytest.mark.parametrize("psi_name", ["classical", "qfact", "fibonacci"])
+def test_qhat_eigenvalues_at_every_depth(psi_name):
+    psi = get_psi(psi_name)
+
+    def ratio(m):
+        return (n_psi(psi, m + 1) - ONE) / n_psi(psi, m)
+
+    for depth in range(5):
+        # eigen[0] continues the value at m = 1, so depth 0 has one eigenvalue too
+        assert qhat(psi, depth).eigen == tuple([ratio(1)] + [ratio(m) for m in range(1, depth + 1)])
+    with pytest.raises(ValueError):
+        qhat(psi, -1)
 
 
 def test_n_qhat_eigenvalues():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triads.poly import DegreeLimitError, P_ONE, P_ZERO, Poly, X, parse_poly, set_degree_cap, x_power
+from triads.poly import DegreeLimitError, P_ONE, P_ZERO, Poly, X, parse_poly, x_power
 from triads.scalar import Q, ZERO, as_scalar
 
 
@@ -43,11 +43,6 @@ def test_degree_cap_enforced():
         x_power(65)
     with pytest.raises(DegreeLimitError):
         x_power(40) * x_power(40)
-    old = set_degree_cap(80)
-    try:
-        assert x_power(70).degree() == 70
-    finally:
-        set_degree_cap(old)
 
 
 def test_degree_cap_message_is_the_same_on_every_path():
