@@ -89,13 +89,17 @@ def _cmd_table(args) -> int:
         raise CliError("exactly one of --family or --spec is required")
     if args.rows < 0:
         raise CliError("--rows must be nonnegative")
+    if args.family in ("psi-stirling1", "psi-stirling2"):
+        psi_name = "qfact" if args.psi is None else args.psi
+        psi = get_psi(psi_name)
+        value = psi_stirling_first if args.family == "psi-stirling1" else psi_stirling_second
+        rows = [[value(psi, n, k) for k in range(n + 1)] for n in range(args.rows + 1)]
+        _emit_table(args, rows, "family", args.family, psi_name=psi_name)
+        return 0
+    if args.psi is not None:
+        raise CliError("--psi is read only by the psi-stirling1 and psi-stirling2 families")
     if args.family is not None:
-        if args.family in ("psi-stirling1", "psi-stirling2"):
-            psi = get_psi(args.psi)
-            value = psi_stirling_first if args.family == "psi-stirling1" else psi_stirling_second
-            rows = [[value(psi, n, k) for k in range(n + 1)] for n in range(args.rows + 1)]
-            _emit_table(args, rows, "family", args.family, psi_name=args.psi)
-        elif args.family in FAMILIES:
+        if args.family in FAMILIES:
             _emit_table(args, family_table(args.family, args.rows), "family", args.family)
         else:
             raise CliError(f"unknown family {args.family!r}; expected one of {TABLE_FAMILIES}")
@@ -123,6 +127,8 @@ def _cmd_konvalina(args) -> int:
     if args.length is not None and args.length < 0:
         raise CliError("--length must be nonnegative")
     w = _weights_from_flag(args.weights, args.length)
+    if args.table == (args.k is not None):
+        raise CliError("exactly one of --k or --table is required")
     if args.table:
         if args.kind == "first":
             rows = first_kind_table(w, len(w))
@@ -130,8 +136,6 @@ def _cmd_konvalina(args) -> int:
             rows = second_kind_table(w, len(w), len(w))
         _emit_table(args, rows, "weights", args.weights)
         return 0
-    if args.k is None:
-        raise CliError("either --k or --table is required")
     value = first_kind(w, args.k) if args.kind == "first" else second_kind(w, args.k)
     texts, _ = _cell_texts([[value]], args.q)
     print(texts[0][0])
@@ -144,7 +148,7 @@ def _cmd_verify(args) -> int:
     if args.rows is not None and args.rows < 0:
         raise CliError("--rows must be nonnegative")
     if args.spec is not None:
-        for option in ("order", "psi"):
+        for option in ("order", "psi", "seed"):
             if getattr(args, option) is not None:
                 raise CliError(f"--{option} is read only by --suite, not by --spec")
         spec = load_spec(args.spec)
@@ -158,14 +162,15 @@ def _cmd_verify(args) -> int:
             print(line)
         return 0 if report.ok and degrees.ok else 1
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, seed=args.seed, rows=args.rows, order=args.order, psi=args.psi)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results = run_suites(names, seed=seed, rows=args.rows, order=args.order, psi=args.psi)
     for result in results:
         for line in result.render():
             print(line)
     passed = sum(1 for r in results for ok, _ in r.lines if ok)
     total = sum(len(r.lines) for r in results)
     all_ok = all(r.ok for r in results)
-    print(f"{passed}/{total} checks passed (seed={args.seed})")
+    print(f"{passed}/{total} checks passed (seed={seed})")
     return 0 if all_ok else 1
 
 
@@ -208,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--spec", help="builtin triad spec name or JSON spec file")
     table.add_argument("--rows", type=int, required=True, help="last row index to emit")
     table.add_argument("--q", type=str, default=None, help="specialize q to this rational")
-    table.add_argument("--psi", choices=PSI_NAMES, default="qfact", help="sequence for psi-* families")
+    table.add_argument("--psi", choices=PSI_NAMES, default=None, help="sequence for psi-* families (default qfact)")
     table.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
     table.set_defaults(run=_cmd_table)
 
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--rows", type=int, default=None, help="depth for triad/corollary/families checks")
     ver.add_argument("--order", type=int, default=None, help="truncation order for the genfun suite")
     ver.add_argument("--psi", choices=PSI_NAMES, default=None, help="restrict the genfun suite to one sequence")
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized suites")
+    ver.add_argument("--seed", type=int, default=None, help=f"seed for randomized suites (default {DEFAULT_SEED})")
     ver.set_defaults(run=_cmd_verify)
 
     op = sub.add_parser("operator", help="apply an operator-array entry to a polynomial")

@@ -15,17 +15,28 @@ against each other:
     with the recurrence),
   * one last-box pass, ``_last_box_rows``, adding the boxes one at a
     time; the kinds differ only in the order it updates the columns.
-    ``first_kind`` / ``second_kind`` (and ``split_identity``) read its last
-    state, the ``*_table`` builders copy every state, and
-    ``last_box_identity`` sums its states against the weights.
+    ``first_kind`` / ``second_kind`` read its last state, the ``*_table``
+    builders copy every state, and ``last_box_identity`` and
+    ``split_identity`` sum its states against the weights.
+
+The pass is one definition over a ring: it runs over the weights' values
+with that ring's zero and one, and ``_ring`` chooses the ring from the
+weights alone.  When every weight is constant in q -- the common case, and
+all of the random vectors the suites draw -- the values are native ints
+and Fractions (``WeightVector.constant_values``), which is several times
+faster than the same arithmetic through ``Scalar``; otherwise they are the
+Scalars themselves.  Values, tables and the triangle wrap each output once
+with ``as_scalar``, which restores the canonical form (a Fraction with
+denominator 1 becomes an int); the identity checks compare both sides
+inside the ring and wrap nothing.
 
 ``second_kind_triangle`` is the (n, k)-indexed reshaping of the second
-kind (value S_{n-k}^k) computed through its own flipped recurrence, the
-shape Stirling triangles satisfy.  ``binomial`` and ``q_binomial`` are the
-binomial and Gaussian arrays as these coefficients over unit and q-power
-weights; they are the only definition of the pascal and gauss family
-values.  The summation identities derived from the last-box decomposition
-are checked by ``suites.suite_corollary``.
+kind (value S_{n-k}^k) computed through its own flipped recurrence over
+the same ring, the shape Stirling triangles satisfy.  ``binomial`` and
+``q_binomial`` are the binomial and Gaussian arrays as these coefficients
+over unit and q-power weights; they are the only definition of the pascal
+and gauss family values.  The summation identities derived from the
+last-box decomposition are checked by ``suites.suite_corollary``.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .scalar import ONE, Scalar, ZERO, as_scalar, qpow
 
@@ -69,7 +80,7 @@ class WeightVector:
         """Plain rational values when every weight is constant in q, else None.
 
         Integral weights come back as ints, which keeps the enumeration
-        oracles on fast native arithmetic.
+        oracles and the last-box pass on fast native arithmetic.
         """
         out = []
         for s in self.weights:
@@ -126,53 +137,61 @@ def second_kind_oracle(w: WeightVector, k: int) -> Scalar:
 
 # -- the last-box recurrence -------------------------------------------------
 
-def _last_box_rows(w: WeightVector, k: int, kind: str) -> Iterator[list[Scalar]]:
+def _ring(w: WeightVector) -> tuple[Sequence, object, object]:
+    """The weights' values with the zero and one of the ring they live in.
+
+    Native ints and Fractions when every weight is constant in q, else the
+    Scalars themselves.  Either way the values are canonical once wrapped
+    with ``as_scalar``.
+    """
+    values = w.constant_values()
+    if values is None:
+        return w.weights, ZERO, ONE
+    return values, 0, 1
+
+
+def _last_box_rows(values: Sequence, k: int, kind: str, zero, one) -> Iterator[list]:
     """Values 0..k of the kind over the first 0, 1, .., n boxes, in one pass.
 
-    Adding box i sets dp[j] = dp[j] + w_i*dp[j-1] for every column j.  The
+    Adding box i sets dp[j] = dp[j] + dp[j-1]*w_i for every column j.  The
     kinds differ only in the column order: first kind runs k..1, so dp[j-1]
     does not yet count box i (each box at most once), and starts at column
     i, since the columns above it are still zero; second kind runs 1..k, so
-    dp[j-1] already counts box i (a box may repeat).  Every state is the
-    same live list; a caller that keeps one copies it.
+    dp[j-1] already counts box i (a box may repeat).  The new box stays on
+    the right of every product, so each term is a product ordered by box
+    index.  Every state is the same live list of ring values; a caller that
+    keeps one copies it.
     """
-    dp = [ONE] + [ZERO] * k
+    dp = [one] + [zero] * k
     first = kind == "first"
     yield dp
-    for i, wi in enumerate(w.weights, start=1):
+    for i, wi in enumerate(values, start=1):
         for j in range(min(i, k), 0, -1) if first else range(1, k + 1):
-            dp[j] = dp[j] + wi * dp[j - 1]
+            dp[j] = dp[j] + dp[j - 1] * wi
         yield dp
 
 
-def _last_state(rows: Iterator[list[Scalar]]) -> list[Scalar]:
-    for dp in rows:
+def _last_row(values: Sequence, k: int, kind: str, zero, one) -> list:
+    """The last state of the pass: values 0..k of the kind over all the values."""
+    for dp in _last_box_rows(values, k, kind, zero, one):
         pass
     return dp
-
-
-def _first_kind_row(w: WeightVector, k: int) -> list[Scalar]:
-    """e_0..e_k of the weights."""
-    return _last_state(_last_box_rows(w, k, "first"))
-
-
-def _second_kind_row(w: WeightVector, k: int) -> list[Scalar]:
-    """h_0..h_k of the weights."""
-    return _last_state(_last_box_rows(w, k, "second"))
 
 
 def first_kind(w: WeightVector, k: int) -> Scalar:
     """e_k of the weights via the last-box recurrence."""
     if k < 0 or k > len(w):
         return ZERO
-    return _first_kind_row(w, k)[k]
+    values, zero, one = _ring(w)
+    return as_scalar(_last_row(values, k, "first", zero, one)[k])
 
 
 def second_kind(w: WeightVector, k: int) -> Scalar:
     """h_k of the weights via the last-box recurrence."""
     if k < 0:
         return ZERO
-    return _second_kind_row(w, k)[k]
+    values, zero, one = _ring(w)
+    return as_scalar(_last_row(values, k, "second", zero, one)[k])
 
 
 def first_kind_table(w: WeightVector, rows: int) -> list[list[Scalar]]:
@@ -181,7 +200,9 @@ def first_kind_table(w: WeightVector, rows: int) -> list[list[Scalar]]:
         raise ValueError("row count must be nonnegative")
     if rows > len(w):
         raise ValueError(f"table of {rows} rows needs {rows} weights, got {len(w)}")
-    return [dp[: n + 1] for n, dp in enumerate(_last_box_rows(w.prefix(rows), rows, "first"))]
+    values, zero, one = _ring(w.prefix(rows))
+    states = _last_box_rows(values, rows, "first", zero, one)
+    return [[as_scalar(v) for v in dp[: n + 1]] for n, dp in enumerate(states)]
 
 
 def second_kind_table(w: WeightVector, k_max: int, n_max: int) -> list[list[Scalar]]:
@@ -190,14 +211,15 @@ def second_kind_table(w: WeightVector, k_max: int, n_max: int) -> list[list[Scal
         raise ValueError("table sizes must be nonnegative")
     if n_max > len(w):
         raise ValueError(f"table over {n_max} boxes needs {n_max} weights, got {len(w)}")
-    return [dp[:] for dp in _last_box_rows(w.prefix(n_max), k_max, "second")]
+    values, zero, one = _ring(w.prefix(n_max))
+    return [[as_scalar(v) for v in dp] for dp in _last_box_rows(values, k_max, "second", zero, one)]
 
 
 def second_kind_triangle(w: WeightVector, n: int, k: int) -> Scalar:
     """The (n, k)-triangle reshaping of the second kind: value S_{n-k}^k.
 
     Computed by its own recurrence
-        T(n, k) = w_k*T(n-1, k) + T(n-1, k-1),
+        T(n, k) = T(n-1, k)*w_k + T(n-1, k-1),
     with T(0, 0) = 1 and zero elsewhere on the boundary (column 0 vanishes
     for n >= 1: the triangle carries ones on its diagonal, not in its
     first column).
@@ -206,13 +228,14 @@ def second_kind_triangle(w: WeightVector, n: int, k: int) -> Scalar:
         return ZERO
     if k > len(w):
         raise IndexError(f"triangle column {k} needs weight w_{k}, vector has {len(w)}")
-    row = [ONE] + [ZERO] * k
+    values, zero, one = _ring(w.prefix(k))
+    row = [one] + [zero] * k
     for _ in range(n):
-        new = [ZERO]
+        new = [zero]
         for j in range(1, k + 1):
-            new.append(w.w(j) * row[j] + row[j - 1])
+            new.append(row[j] * values[j - 1] + row[j - 1])
         row = new
-    return row[k]
+    return as_scalar(row[k])
 
 
 # -- identity checks ---------------------------------------------------------
@@ -221,7 +244,8 @@ def last_box_identity(w: WeightVector, k: int, kind: str = "first") -> bool:
     """Decomposition by the last selected box, summed over the box index.
 
     The rhs sums w_i times the value k-1 over boxes 1..i-1 (first kind) or
-    1..i (second kind), all read from one pass over the weights.
+    1..i (second kind), all read from one pass over the weights.  Both sides
+    are computed and compared in the weights' ring.
     """
     if k == 0:
         return True
@@ -229,28 +253,34 @@ def last_box_identity(w: WeightVector, k: int, kind: str = "first") -> bool:
         raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
     if k < 0:
         return True
-    lhs = first_kind(w, k) if kind == "first" else second_kind(w, k)
-    states = _last_box_rows(w, k - 1, kind)
+    values, zero, one = _ring(w)
+    lhs = _last_row(values, k, kind, zero, one)[k]
+    states = _last_box_rows(values, k - 1, kind, zero, one)
     if kind == "second":
         next(states)
-    rhs = ZERO
-    for wi, dp in zip(w.weights, states):
-        rhs = rhs + wi * dp[k - 1]
+    rhs = zero
+    for wi, dp in zip(values, states):
+        rhs = rhs + dp[k - 1] * wi
     return lhs == rhs
 
 
 def split_identity(w: WeightVector, split: int, k: int) -> bool:
-    """Vandermonde-style splitting across a prefix/tail cut, both kinds."""
+    """Vandermonde-style splitting across a prefix/tail cut, both kinds.
+
+    Both sides are computed and compared in the ring of the whole vector.
+    """
     if not 0 <= split <= len(w):
         raise ValueError(f"split {split} outside 0..{len(w)}")
-    head = w.prefix(split)
-    tail = w.tail(split)
-    for value, row in ((first_kind, _first_kind_row), (second_kind, _second_kind_row)):
-        lhs = value(w, k)
-        left, right = row(head, k), row(tail, k)
-        rhs = ZERO
+    if k < 0:
+        return True
+    values, zero, one = _ring(w)
+    for kind in ("first", "second"):
+        lhs = _last_row(values, k, kind, zero, one)[k]
+        left = _last_row(values[:split], k, kind, zero, one)
+        right = _last_row(values[split:], k, kind, zero, one)
+        rhs = zero
         for i in range(k + 1):
-            if not left[i].is_zero():
+            if left[i]:
                 rhs = rhs + left[i] * right[k - i]
         if lhs != rhs:
             return False

@@ -62,6 +62,10 @@ def test_table_json_records_q_and_psi(capsys):
     payload = json.loads(out)
     assert payload["family"] == "psi-stirling2"
     assert payload["psi"] == "fibonacci"
+    argv = ("table", "--family", "psi-stirling1", "--rows", "3", "--format", "json")
+    default = run(capsys, *argv)
+    assert default == run(capsys, *argv, "--psi", "qfact")
+    assert json.loads(default[1])["psi"] == "qfact"
     code, out, _ = run(capsys, "table", "--family", "gauss", "--rows", "2", "--q", "2/3", "--format", "json")
     assert json.loads(out)["q"] == "2/3"
 
@@ -260,6 +264,13 @@ def test_konvalina_table_json_matches_golden(capsys, kind):
             "table_psi-stirling1_fibonacci_rows8.json",
         ),
         (("verify", "--spec", "gauss", "--rows", "8"), "verify_spec_gauss_rows8.txt"),
+        *(
+            (
+                ("konvalina", "--weights=1/2,-1/3,2,3/2,1/2", "--kind", kind, "--table", "--format", "json"),
+                f"konvalina_fractional5_{kind}.json",
+            )
+            for kind in ("first", "second")
+        ),
     ],
 )
 def test_cli_output_matches_golden(capsys, argv, golden):
@@ -362,6 +373,7 @@ def test_verify_bad_order_runs_no_suite(capsys, monkeypatch, suite):
         ),
         (("--spec", "pascal", "--order", "8"), "--order is read only by --suite, not by --spec"),
         (("--spec", "pascal", "--psi", "qfact"), "--psi is read only by --suite, not by --spec"),
+        (("--spec", "pascal", "--rows", "3", "--seed", "99"), "--seed is read only by --suite, not by --spec"),
     ],
 )
 def test_verify_option_that_nothing_reads_is_usage_error(capsys, monkeypatch, argv, message):
@@ -395,6 +407,24 @@ def test_run_suites_passes_only_the_options_each_suite_reads(capsys, monkeypatch
     }
     run_suites(["genfun", "triad"])
     assert calls["genfun"] == calls["triad"] == {}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--family", "pascal", "--psi", "fibonacci", "--rows", "2"),
+        ("table", "--spec", "pascal", "--psi", "fibonacci", "--rows", "1"),
+    ],
+)
+def test_table_psi_outside_psi_families_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --psi is read only by the psi-stirling1 and psi-stirling2 families\n")
+
+
+@pytest.mark.parametrize("extra", [("--table", "--k", "2"), ("--table", "--k", "2", "--format", "csv"), ()])
+def test_konvalina_needs_exactly_one_of_k_and_table(capsys, extra):
+    code, out, err = run(capsys, "konvalina", "--weights", "ones", "--length", "3", *extra)
+    assert (code, out, err) == (2, "", "error: exactly one of --k or --table is required\n")
 
 
 def test_konvalina_length_with_explicit_weights_is_usage_error(capsys):

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triads import konvalina
 from triads.konvalina import (
     WeightVector,
-    _first_kind_row,
-    _second_kind_row,
+    _last_box_rows,
+    _last_row,
+    _ring,
     binomial,
     first_kind,
     first_kind_oracle,
@@ -164,8 +166,10 @@ weight_values = st.one_of(
 @given(st.lists(weight_values, max_size=5), st.integers(0, 7))
 def test_recurrence_rows_match_enumeration(values, k):
     w = WeightVector.of(values)
-    assert _first_kind_row(w, k) == [first_kind_oracle(w, j) for j in range(k + 1)]
-    assert _second_kind_row(w, k) == [second_kind_oracle(w, j) for j in range(k + 1)]
+    values, zero, one = _ring(w)
+    for kind, oracle in (("first", first_kind_oracle), ("second", second_kind_oracle)):
+        row = _last_row(values, k, kind, zero, one)
+        assert [as_scalar(v) for v in row] == [oracle(w, j) for j in range(k + 1)]
     n = len(w)
     first_rows, second_rows = first_kind_table(w, n), second_kind_table(w, k, n)
     for m in range(n + 1):
@@ -174,6 +178,77 @@ def test_recurrence_rows_match_enumeration(values, k):
         assert second_rows[m] == [second_kind_oracle(prefix, j) for j in range(k + 1)]
     assert last_box_identity(w, k, "first")
     assert last_box_identity(w, k, "second")
+
+
+def _states(values, k, kind, zero, one):
+    return [dp[:] for dp in _last_box_rows(values, k, kind, zero, one)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_native_ring_matches_scalar_ring_on_constant_vectors(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        length = rng.randint(0, 7)
+        w = WeightVector.of(
+            [rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-6, 6), rng.randint(1, 4))]) for _ in range(length)]
+        )
+        values, zero, one = _ring(w)
+        assert (zero, one) == (0, 1) and values == w.constant_values()
+        for k in range(length + 2):
+            for kind in ("first", "second"):
+                native = _states(values, k, kind, zero, one)
+                over_scalars = _states(list(w.weights), k, kind, ZERO, ONE)
+                assert [[as_scalar(v) for v in dp] for dp in native] == over_scalars
+
+
+def test_integral_results_come_back_as_int_coefficients():
+    half = WeightVector.of([Fraction(1, 2), Fraction(1, 2)])
+    values = (
+        first_kind(half, 1),
+        second_kind(half, 1),
+        first_kind_table(half, 2)[2][1],
+        second_kind_table(half, 1, 2)[2][1],
+        second_kind_triangle(half, 3, 2),
+    )
+    for value in values:
+        assert value.num.coeffs == (1,) and type(value.num.coeffs[0]) is int
+
+
+def test_mixed_constant_and_symbolic_vector_matches_oracles():
+    w = WeightVector.of([Fraction(1, 2), Q, 3, ONE + Q, Fraction(-2, 3)])
+    assert _ring(w)[1:] == (ZERO, ONE)
+    for k in range(len(w) + 2):
+        assert first_kind(w, k) == first_kind_oracle(w, k)
+        assert second_kind(w, k) == second_kind_oracle(w, k)
+        assert last_box_identity(w, k, "first") and last_box_identity(w, k, "second")
+        assert all(split_identity(w, split, k) for split in range(len(w) + 1))
+    table = second_kind_table(w, 3, len(w))
+    for m in range(len(w) + 1):
+        assert first_kind_table(w, len(w))[m] == [first_kind_oracle(w.prefix(m), j) for j in range(m + 1)]
+        assert table[m] == [second_kind_oracle(w.prefix(m), j) for j in range(4)]
+
+
+@pytest.mark.parametrize(
+    "w", [WeightVector.of([2, -1, 3, 5]), WeightVector.of([Fraction(1, 2), 3, Fraction(-2, 3), 1]), qpowers(4)]
+)
+def test_identities_fail_on_a_perturbed_row(monkeypatch, w):
+    # Perturb only the last state of the pass that gives the lhs: the full
+    # vector at column count k.  Both identities must then report False.
+    n, k = len(w), 2
+    real = konvalina._last_box_rows
+
+    def perturbed(values, cols, kind, zero, one):
+        for i, dp in enumerate(real(values, cols, kind, zero, one)):
+            if (i, len(values), cols) == (n, n, k):
+                dp = dp[:]
+                dp[k] = dp[k] + one
+            yield dp
+
+    assert last_box_identity(w, k, "first") and last_box_identity(w, k, "second") and split_identity(w, 2, k)
+    monkeypatch.setattr(konvalina, "_last_box_rows", perturbed)
+    assert not last_box_identity(w, k, "first")
+    assert not last_box_identity(w, k, "second")
+    assert not split_identity(w, 2, k)
 
 
 def test_binomial_and_q_binomial_helpers():
