@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .families import FAMILIES, family_table
 from .konvalina import WEIGHT_RULES, WeightVector, first_kind, first_kind_table, second_kind, second_kind_table
-from .operators import OPERATOR_ARRAYS
+from .operators import OPERATOR_ARRAYS, qhat
 from .poly import parse_poly
 from .psi import PSI_NAMES, get_psi
 from .psi_extensions import psi_stirling_first, psi_stirling_second
@@ -182,7 +182,7 @@ def _cmd_operator(args) -> int:
     psi = get_psi(args.psi)
     build = OPERATOR_ARRAYS[args.array]
     try:
-        op = build(psi, args.n, args.k, max(target.degree(), 0))
+        op = build(qhat(psi, max(target.degree(), 0)), args.n, args.k)
     except IndexError as exc:
         raise CliError(str(exc))
     image = op.apply(target)

@@ -2,11 +2,11 @@
 
 Every operator here is diagonal in the monomial basis and is stored by its
 eigenvalue sequence: op(x^m) = eigen[m] * x^m up to a working degree bound.
-Sums and compositions are then pointwise on eigenvalues, and an array of
-operators built from commuting weights (a sum of products of polynomials
-in one shared diagonal operator) collapses, monomial by monomial, to a
-scalar weighted-coefficient evaluation -- no operator-sum expansion ever
-happens.
+Sums and compositions are then pointwise on eigenvalues.  The weights of an
+operator-valued array are such operators themselves, so the array's entry
+collapses, monomial by monomial, to a scalar weighted-coefficient
+evaluation over the weights' eigenvalues on x^m -- no operator-sum
+expansion ever happens.
 
 The generating operator is :func:`qhat`: its eigenvalue on x^m is
 
@@ -14,12 +14,15 @@ The generating operator is :func:`qhat`: its eigenvalue on x^m is
 
 the ratio shifted so that the qfact sequence yields the constant q on
 every monomial (the unshifted ratio is 0/0 at m = 0 under any indexing;
-we set eigen[0] = eigen[1], which continues that constant).
+we set eigen[0] = eigen[1], which continues that constant).  The three
+named arrays take that operator, built once by the caller, and weight
+their boxes with its powers or its geometric sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from . import konvalina
@@ -76,10 +79,6 @@ class DiagOp:
             raise ValueError("negative operator powers are not defined here")
         return DiagOp([v**n for v in self.eigen])
 
-    def scale(self, s: Scalar | int) -> "DiagOp":
-        s = as_scalar(s)
-        return DiagOp([s * v for v in self.eigen])
-
     def apply(self, p: Poly) -> Poly:
         """Coefficient-wise action on a polynomial within the degree bound."""
         if p.degree() > self.depth:
@@ -117,75 +116,57 @@ def n_qhat(psi: PsiSequence, n: int, depth: int) -> DiagOp:
         raise ValueError("n_qhat expects n >= 0")
     if n == 0:
         return DiagOp.zero(depth)
-    base = qhat(psi, depth)
-    eigen = []
-    for lam in base.eigen:
-        total = ONE
-        power = ONE
-        for _ in range(n - 1):
-            power = power * lam
-            total = total + power
-        eigen.append(total)
-    return DiagOp(eigen)
+    return n_qhat_entries(qhat(psi, depth), n).entries[-1]
 
 
 @dataclass(frozen=True)
 class OpWeightVector:
-    """Entries w_i = sum_k a[i][k] * base^k, all polynomials in one shared base.
+    """Entries w_1..w_n, each a diagonal operator on monomials of degree <= depth.
 
-    Sharing the base makes every entry commute with every other, so the
-    weighted-coefficient sums over them are well defined operators.
+    Diagonal operators commute, so the weighted-coefficient sums over the
+    entries are well defined operators.
     """
 
-    base: DiagOp
-    coeffs: tuple[tuple[Scalar, ...], ...]
+    depth: int
+    entries: tuple[DiagOp, ...]
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.entries)
 
     def prefix(self, n: int) -> "OpWeightVector":
-        return OpWeightVector(self.base, self.coeffs[:n])
-
-    def entry_eigenvalue(self, i: int, m: int) -> Scalar:
-        """Eigenvalue of entry i (1-indexed) on x^m, by Horner in the base's."""
-        lam = self.base.eigen[m]
-        acc = ZERO
-        for a in reversed(self.coeffs[i - 1]):
-            acc = acc * lam + a
-        return acc
-
-    def entry_op(self, i: int) -> DiagOp:
-        """Entry i realized as an operator."""
-        return DiagOp([self.entry_eigenvalue(i, m) for m in range(self.base.depth + 1)])
+        return OpWeightVector(self.depth, self.entries[:n])
 
     def scalar_weights(self, m: int) -> WeightVector:
         """The plain weight vector seen by the monomial x^m."""
-        return WeightVector(tuple(self.entry_eigenvalue(i, m) for i in range(1, len(self.coeffs) + 1)))
+        return WeightVector(tuple(e.eigen[m] for e in self.entries))
 
 
 def qhat_power_entries(base: DiagOp, n: int) -> OpWeightVector:
     """Entries (1, base, base^2, ..., base^(n-1))."""
-    return OpWeightVector(base, tuple((ZERO,) * i + (ONE,) for i in range(n)))
+    powers = [DiagOp.identity(base.depth)]
+    while len(powers) < n:
+        powers.append(powers[-1] * base)
+    return OpWeightVector(base.depth, tuple(powers[:n]))
 
 
 def n_qhat_entries(base: DiagOp, n: int) -> OpWeightVector:
     """Entries (1_base, 2_base, ..., n_base): i-th is 1 + base + ... + base^(i-1)."""
-    return OpWeightVector(base, tuple((ONE,) * i for i in range(1, n + 1)))
+    return OpWeightVector(base.depth, tuple(accumulate(qhat_power_entries(base, n).entries)))
 
 
 def _konkwa(ow: OpWeightVector, k: int, value_fn) -> DiagOp:
     """Per-monomial scalar evaluation of an operator-valued coefficient.
 
-    The weights seen by x^m are polynomials in ``base.eigen[m]`` alone, so the
-    per-call cache is keyed on that eigenvalue: ``scalar_weights(m)`` and the
-    recurrence run once per distinct base eigenvalue, not once per monomial.
+    The per-call cache is keyed on the entries' eigenvalues at x^m, so the
+    recurrence runs once per distinct weight vector, not once per monomial.
     """
-    cache: dict[Scalar, Scalar] = {}
+    cache: dict[WeightVector, Scalar] = {}
     eigen = []
-    for m, lam in enumerate(ow.base.eigen):
-        value = cache.get(lam)
+    for m in range(ow.depth + 1):
+        weights = ow.scalar_weights(m)
+        value = cache.get(weights)
         if value is None:
-            value = cache[lam] = value_fn(ow.scalar_weights(m), k)
+            value = cache[weights] = value_fn(weights, k)
         eigen.append(value)
     return DiagOp(eigen)
 
@@ -202,28 +183,25 @@ def konkwa_second_kind(ow: OpWeightVector, k: int) -> DiagOp:
 
 # -- the three named operator arrays -----------------------------------------
 
-def binomial_operator(psi: PsiSequence, n: int, k: int, depth: int) -> DiagOp:
-    """Operator-valued binomial array entry."""
+def binomial_operator(base: DiagOp, n: int, k: int) -> DiagOp:
+    """Operator-valued binomial array entry over the powers of ``base``."""
     check_triangle(n, k)
-    entries = qhat_power_entries(qhat(psi, depth), n - k + 1)
-    return konkwa_second_kind(entries, k)
+    return konkwa_second_kind(qhat_power_entries(base, n - k + 1), k)
 
 
-def stirling2_operator(psi: PsiSequence, n: int, k: int, depth: int) -> DiagOp:
-    """Operator-valued Stirling array of the second kind."""
+def stirling2_operator(base: DiagOp, n: int, k: int) -> DiagOp:
+    """Operator-valued Stirling array of the second kind over ``base``."""
     check_triangle(n, k)
-    entries = n_qhat_entries(qhat(psi, depth), k)
-    return konkwa_second_kind(entries, n - k)
+    return konkwa_second_kind(n_qhat_entries(base, k), n - k)
 
 
-def stirling1_operator(psi: PsiSequence, n: int, k: int, depth: int) -> DiagOp:
-    """Operator-valued Stirling array of the first kind."""
+def stirling1_operator(base: DiagOp, n: int, k: int) -> DiagOp:
+    """Operator-valued Stirling array of the first kind over ``base``."""
     check_triangle(n, k)
-    entries = n_qhat_entries(qhat(psi, depth), max(n - 1, 0))
-    return konkwa_first_kind(entries, n - k)
+    return konkwa_first_kind(n_qhat_entries(base, max(n - 1, 0)), n - k)
 
 
-OPERATOR_ARRAYS: dict[str, Callable[[PsiSequence, int, int, int], DiagOp]] = {
+OPERATOR_ARRAYS: dict[str, Callable[[DiagOp, int, int], DiagOp]] = {
     "binom": binomial_operator,
     "stirling1": stirling1_operator,
     "stirling2": stirling2_operator,

@@ -420,7 +420,8 @@ class Scalar:
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(Fraction(self.num.coeffs[0]))
+            # hash(n) == hash(Fraction(n)), so no Fraction is built here
+            return hash(self.num.coeffs[0])
         return hash((self.num.coeffs, self.den.coeffs))
 
     # -- specialization --
@@ -448,7 +449,8 @@ def _coerce(value: object) -> Scalar | None:
     if isinstance(value, Scalar):
         return value
     if isinstance(value, int) or isinstance(value, Fraction):
-        return Scalar(QPoly((value,)), QP_ONE)
+        c = _as_coeff(value)
+        return ZERO if c == 0 else Scalar._raw(QPoly._raw((c,)), QP_ONE)
     return None
 
 

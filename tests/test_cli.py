@@ -271,6 +271,14 @@ def test_konvalina_table_json_matches_golden(capsys, kind):
             )
             for kind in ("first", "second")
         ),
+        *(
+            (
+                ("operator", "--array", array, "--n", "5", "--k", "2", "--psi", "fibonacci",
+                 "--apply", "x^4 + 3*x - 1", "--format", "json"),
+                f"operator_{array}_fibonacci.json",
+            )
+            for array in ("binom", "stirling1", "stirling2")
+        ),
     ],
 )
 def test_cli_output_matches_golden(capsys, argv, golden):

@@ -2,8 +2,10 @@
 
 import pytest
 
+from triads import operators, suites
 from triads.konvalina import WeightVector, first_kind, second_kind
 from triads.operators import (
+    _konkwa,
     DepthExceededError,
     DiagOp,
     binomial_operator,
@@ -19,7 +21,7 @@ from triads.operators import (
 from triads.poly import P_ZERO, parse_poly, x_power
 from triads.psi import get_psi, n_psi
 from triads.psi_extensions import psi_stirling_first, psi_stirling_second
-from triads.scalar import ONE, Q, as_scalar, q_integer
+from triads.scalar import ONE, Q, ZERO, as_scalar, q_integer
 
 from .oracles import int_stirling1, int_stirling2, q_binomial_by_factorials
 
@@ -95,7 +97,7 @@ def test_konkwa_trivial_cases():
     assert konkwa_first_kind(ow, 0) == DiagOp.identity(7)
     assert konkwa_second_kind(ow, 0) == DiagOp.identity(7)
     single = qhat_power_entries(base, 2).prefix(2)
-    assert konkwa_first_kind(single.prefix(1), 1) == single.entry_op(1)
+    assert konkwa_first_kind(single.prefix(1), 1) == single.entries[0]
 
 
 def test_konkwa_eigenvalues_are_scalar_evaluations():
@@ -111,7 +113,7 @@ def test_binomial_operator_reduces_to_q_binomial():
     qf = get_psi("qfact")
     for n in range(8):
         for k in range(n + 1):
-            op = binomial_operator(qf, n, k, 6)
+            op = binomial_operator(qhat(qf, 6), n, k)
             expected = q_binomial_by_factorials(n, k)
             assert all(v == expected for v in op.eigen)
 
@@ -120,10 +122,10 @@ def test_stirling_operators_reduce_to_arrays():
     qf = get_psi("qfact")
     for n in range(7):
         for k in range(n + 1):
-            s2 = stirling2_operator(qf, n, k, 5)
+            s2 = stirling2_operator(qhat(qf, 5), n, k)
             assert all(v == psi_stirling_second(qf, n, k) for v in s2.eigen)
             assert s2.eigenvalue(0).eval_q(1) == int_stirling2(n, k)
-            s1 = stirling1_operator(qf, n, k, 5)
+            s1 = stirling1_operator(qhat(qf, 5), n, k)
             assert all(v == psi_stirling_first(qf, n, k) for v in s1.eigen)
             assert s1.eigenvalue(0).eval_q(1) == int_stirling1(n, k)
 
@@ -132,7 +134,7 @@ def test_operator_arrays_reject_bad_indices():
     qf = get_psi("qfact")
     for build in (binomial_operator, stirling1_operator, stirling2_operator):
         with pytest.raises(IndexError):
-            build(qf, 2, 3, 5)
+            build(qhat(qf, 5), 2, 3)
 
 
 def test_apply_examples():
@@ -141,7 +143,7 @@ def test_apply_examples():
     assert DiagOp.identity(8).apply(p) == p
     image = qhat(qf, 8).apply(x_power(3))
     assert image == x_power(3).scale(Q)
-    assert binomial_operator(qf, 4, 2, 3).apply(x_power(3)) == x_power(3).scale(
+    assert binomial_operator(qhat(qf, 3), 4, 2).apply(x_power(3)) == x_power(3).scale(
         q_binomial_by_factorials(4, 2)
     )
 
@@ -155,7 +157,7 @@ def test_shape_recurrences_with_varying_eigenvalues():
         full = entries_of(base, 5)
         for n in range(1, 6):
             ow, shorter = full.prefix(n), full.prefix(n - 1)
-            wn = full.entry_op(n)
+            wn = full.entries[n - 1]
             for k in range(1, 6):
                 assert konkwa_first_kind(ow, k) == konkwa_first_kind(shorter, k) + wn * konkwa_first_kind(shorter, k - 1)
                 assert konkwa_second_kind(ow, k) == konkwa_second_kind(shorter, k) + wn * konkwa_second_kind(ow, k - 1)
@@ -176,12 +178,41 @@ def test_konkwa_eigenvalues_match_uncached_scalar_evaluation(psi_name):
                 assert second.eigen[m] == second_kind(weights, k)
 
 
-def test_entry_eigenvalue_matches_entry_op():
+def test_entries_are_powers_and_geometric_sums():
     base = qhat(get_psi("fibonacci"), 6)
-    ow = n_qhat_entries(base, 4)
+    sums, powers = n_qhat_entries(base, 4), qhat_power_entries(base, 4)
     for i in range(1, 5):
-        op = ow.entry_op(i)
         for m in range(7):
-            assert op.eigenvalue(m) == ow.entry_eigenvalue(i, m)
+            lam = base.eigen[m]
+            assert powers.entries[i - 1].eigen[m] == lam ** (i - 1)
+            assert sums.entries[i - 1].eigen[m] == sum((lam**j for j in range(i)), ZERO)
         # i-th entry is the geometric sum of the base
-        assert op == n_qhat(get_psi("fibonacci"), i, 6)
+        assert sums.entries[i - 1] == n_qhat(get_psi("fibonacci"), i, 6)
+
+
+def test_operator_suite_builds_qhat_once_per_sequence(monkeypatch):
+    calls = []
+
+    def counting_qhat(psi, depth):
+        calls.append(psi.name)
+        return qhat(psi, depth)
+
+    monkeypatch.setattr(operators, "qhat", counting_qhat)
+    monkeypatch.setattr(suites, "qhat", counting_qhat)
+    assert suites.suite_operator(limit=3, depth=4).ok
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("psi_name", ["qfact", "fibonacci"])
+def test_konkwa_runs_the_recurrence_once_per_distinct_eigenvalue(psi_name):
+    base = qhat(get_psi(psi_name), 6)
+    seen = []
+
+    def counting_value_fn(weights, k):
+        seen.append(weights)
+        return first_kind(weights, k)
+
+    _konkwa(n_qhat_entries(base, 4), 2, counting_value_fn)
+    assert len(seen) == len(set(base.eigen))
+    if psi_name == "qfact":
+        assert len(seen) == 1

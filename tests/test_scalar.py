@@ -61,6 +61,12 @@ def test_reciprocal_is_canonical():
     r = ONE / (ONE + Q)
     assert r.num == QPoly([1])
     assert r.den == QPoly([1, 1])
+    # constants are canonical too: integral Fractions become ints, zero is ZERO
+    two = as_scalar(Fraction(4, 2))
+    assert two.num.coeffs == (2,) and type(two.num.coeffs[0]) is int
+    assert as_scalar(0) == ZERO and as_scalar(False).num.coeffs == (0,)
+    assert hash(as_scalar(3)) == hash(3)
+    assert hash(as_scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
 
 
 def test_division_by_zero():
