@@ -19,16 +19,16 @@ against each other:
     builders copy every state, and ``last_box_identity`` and
     ``split_identity`` sum its states against the weights.
 
-The pass is one definition over a ring: it runs over the weights' values
-with that ring's zero and one, and ``_ring`` chooses the ring from the
-weights alone.  When every weight is constant in q -- the common case, and
-all of the random vectors the suites draw -- the values are native ints
-and Fractions (``WeightVector.constant_values``), which is several times
-faster than the same arithmetic through ``Scalar``; otherwise they are the
-Scalars themselves.  Values, tables and the triangle wrap each output once
-with ``as_scalar``, which restores the canonical form (a Fraction with
-denominator 1 becomes an int); the identity checks compare both sides
-inside the ring and wrap nothing.
+The pass and the enumerator are each one definition over a ring: they run
+over the weights' values with that ring's zero and one, and ``_ring``
+chooses the ring from the weights alone.  When every weight is constant in
+q -- the common case, and all of the random vectors the suites draw -- the
+values are native ints and Fractions (``WeightVector.constant_values``),
+which is several times faster than the same arithmetic through ``Scalar``;
+otherwise they are the Scalars themselves.  Values, oracles, tables and
+the triangle wrap each output once with ``as_scalar``, which restores the
+canonical form (a Fraction with denominator 1 becomes an int); the
+identity checks compare both sides inside the ring and wrap nothing.
 
 ``second_kind_triangle`` is the (n, k)-indexed reshaping of the second
 kind (value S_{n-k}^k) computed through its own flipped recurrence over
@@ -63,18 +63,8 @@ class WeightVector:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def w(self, i: int) -> Scalar:
-        """1-indexed access, matching the box-counting convention."""
-        if not 1 <= i <= len(self.weights):
-            raise IndexError(f"weight index {i} outside 1..{len(self.weights)}")
-        return self.weights[i - 1]
-
     def prefix(self, n: int) -> "WeightVector":
         return WeightVector(self.weights[:n])
-
-    def tail(self, start: int) -> "WeightVector":
-        """Weights w_{start+1}.. as their own vector."""
-        return WeightVector(self.weights[start:])
 
     def constant_values(self) -> list[int | Fraction] | None:
         """Plain rational values when every weight is constant in q, else None.
@@ -113,16 +103,8 @@ def _enumerate(w: WeightVector, k: int, index_tuples) -> Scalar:
         return ZERO
     if k == 0:
         return ONE
-    values = w.constant_values()
-    if values is not None:
-        return as_scalar(Fraction(sum(math.prod(c) for c in index_tuples(values, k))))
-    total = ZERO
-    for combo in index_tuples(w.weights, k):
-        term = ONE
-        for s in combo:
-            term = term * s
-        total = total + term
-    return total
+    values, zero, one = _ring(w)
+    return as_scalar(sum((math.prod(c, start=one) for c in index_tuples(values, k)), zero))
 
 
 def first_kind_oracle(w: WeightVector, k: int) -> Scalar:

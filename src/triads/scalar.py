@@ -15,11 +15,9 @@ Representation:
                is nonzero except for the zero polynomial, stored as (0,).
   Scalar    -- QPoly pair num/den with gcd(num, den) = 1 and den monic.
 
-Most Scalars in the suites are rational constants: a one-coefficient
-numerator over the unit denominator.  ``Scalar.__add__`` and ``__mul__``
-combine two such operands directly on their coefficients (the degree-0
-path), skipping the QPoly arithmetic; the result is the same canonical
-tuple the general path builds.
+``Scalar.__add__`` and ``__mul__`` of two operands over the unit
+denominator combine the numerators with QPoly arithmetic alone, with no
+gcd: the result is already canonical.
 
 QPoly products take one of two paths, chosen from the operands alone.
 Kronecker substitution packs each operand into one Python int at a fixed
@@ -298,13 +296,7 @@ class Scalar:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: QPoly | Coeff, den: QPoly | Coeff | None = None):
-        if not isinstance(num, QPoly):
-            num = QPoly((num,))
-        if den is None:
-            den = QP_ONE
-        elif not isinstance(den, QPoly):
-            den = QPoly((den,))
+    def __init__(self, num: QPoly, den: QPoly = QP_ONE):
         self.num, self.den = _canonical(num, den)
 
     @classmethod
@@ -341,10 +333,6 @@ class Scalar:
             if other is None:
                 return NotImplemented
         if self.den.coeffs == _UNIT == other.den.coeffs:
-            a, b = self.num.coeffs, other.num.coeffs
-            if len(a) == 1 and len(b) == 1:
-                # as in QPoly.__add__, a zero addend leaves the coefficient untouched
-                return Scalar._raw(QPoly._raw((a[0] + b[0],)) if b[0] else self.num, QP_ONE)
             return Scalar._raw(self.num + other.num, QP_ONE)
         num = self.num * other.den + other.num * self.den
         return Scalar(num, self.den * other.den)
@@ -372,9 +360,6 @@ class Scalar:
             if other is None:
                 return NotImplemented
         if self.den.coeffs == _UNIT == other.den.coeffs:
-            a, b = self.num.coeffs, other.num.coeffs
-            if len(a) == 1 and len(b) == 1:
-                return Scalar._raw(QPoly._raw((a[0] * b[0],)), QP_ONE) if a[0] and b[0] else ZERO
             # QPoly.__mul__ returns the zero polynomial for a zero operand
             return Scalar._raw(self.num * other.num, QP_ONE)
         if self.is_zero() or other.is_zero():

@@ -11,7 +11,10 @@ CI gate.
 Wherever a suite compares two routes, the routes are independent: tables
 against definitional enumeration, operator eigenvalues against scalar
 arrays, scalar arrays against classical integer recurrences and
-``math.comb``.
+``math.comb``.  Each compared value is computed once and checked against
+every reference it meets.  A suite's parameters are exactly the verify
+options it reads; every other size is a constant stated once, in the
+suite body.
 """
 
 from __future__ import annotations
@@ -78,9 +81,12 @@ def _q_binomial_by_factorials(n: int, k: int):
     return q_factorial(n) / (q_factorial(k) * q_factorial(n - k))
 
 
-def _random_weights(rng: random.Random, max_len: int, low: int = -5, high: int = 5) -> WeightVector:
-    length = rng.randint(1, max_len)
-    return WeightVector.of([rng.randint(low, high) for _ in range(length)])
+_RANDOM_LEN_MAX = 8
+
+
+def _random_weights(rng: random.Random) -> WeightVector:
+    length = rng.randint(1, _RANDOM_LEN_MAX)
+    return WeightVector.of([rng.randint(-5, 5) for _ in range(length)])
 
 
 # -- suites -------------------------------------------------------------------
@@ -96,44 +102,43 @@ def suite_triad(rows: int = 25) -> SuiteResult:
     return result
 
 
-def suite_konvalina_oracle(count: int = 200, max_len: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
+def suite_konvalina_oracle(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Recurrence tables against definitional enumeration on random vectors."""
     result = SuiteResult("konvalina-oracle")
+    count = 200
     rng = random.Random(seed)
     first_ok = second_ok = triangle_ok = True
     for _ in range(count):
-        w = _random_weights(rng, max_len)
+        w = _random_weights(rng)
         n = len(w)
         ct = first_kind_table(w, n)
+        st = second_kind_table(w, n, n)
         for m in range(n + 1):
             prefix = w.prefix(m)
             for k in range(m + 1):
                 if ct[m][k] != first_kind_oracle(prefix, k):
                     first_ok = False
-        st = second_kind_table(w, n, n)
-        for m in range(n + 1):
-            prefix = w.prefix(m)
             for k in range(n + 1):
-                if st[m][k] != second_kind_oracle(prefix, k):
+                # one enumeration over m boxes, against the table and the triangle
+                value = second_kind_oracle(prefix, k)
+                if st[m][k] != value:
                     second_ok = False
-        for k in range(n + 1):
-            head = w.prefix(k)
-            for balls in range(n + 1):
-                if second_kind_triangle(w, k + balls, k) != second_kind_oracle(head, balls):
+                if second_kind_triangle(w, m + k, m) != value:
                     triangle_ok = False
-    result.check(first_ok, f"first-kind table == enumeration, {count} random vectors (len <= {max_len})")
+    result.check(first_ok, f"first-kind table == enumeration, {count} random vectors (len <= {_RANDOM_LEN_MAX})")
     result.check(second_ok, f"second-kind table == enumeration, {count} random vectors")
     result.check(triangle_ok, f"triangle reindexing == enumeration, {count} random vectors")
     return result
 
 
-def suite_propositions(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteResult:
+def suite_propositions(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Last-box decomposition and split identities, random and symbolic."""
     result = SuiteResult("propositions")
+    count = 100
     rng = random.Random(seed)
     last_ok = split_ok = True
     for _ in range(count):
-        w = _random_weights(rng, 8)
+        w = _random_weights(rng)
         for k in range(len(w) + 2):
             last_ok = last_ok and konvalina.last_box_identity(w, k, "first")
             last_ok = last_ok and konvalina.last_box_identity(w, k, "second")
@@ -213,16 +218,15 @@ def suite_families(rows: int = 12) -> SuiteResult:
     pascal_ok = stirling2_ok = stirling1_ok = gauss_ok = gauss_q1_ok = True
     for n in range(rows + 1):
         for k in range(n + 1):
-            pascal_ok = pascal_ok and family_value("pascal", n, k) == first_kind_oracle(ones(n), k)
-            pascal_ok = pascal_ok and family_value("pascal", n, k) == as_scalar(math.comb(n, k))
-            stirling2_ok = stirling2_ok and family_value("stirling2", n, k) == second_kind_oracle(
-                konvalina.naturals(k), n - k
-            )
-            stirling2_ok = stirling2_ok and family_value("stirling2", n, k) == as_scalar(_int_stirling2(n, k))
-            stirling1_ok = stirling1_ok and family_value("stirling1", n, k) == first_kind_oracle(
-                konvalina.naturals(max(n - 1, 0)), n - k
-            )
-            stirling1_ok = stirling1_ok and family_value("stirling1", n, k) == as_scalar(_int_stirling1(n, k))
+            pval = family_value("pascal", n, k)
+            pascal_ok = pascal_ok and pval == first_kind_oracle(ones(n), k)
+            pascal_ok = pascal_ok and pval == as_scalar(math.comb(n, k))
+            s2val = family_value("stirling2", n, k)
+            stirling2_ok = stirling2_ok and s2val == second_kind_oracle(konvalina.naturals(k), n - k)
+            stirling2_ok = stirling2_ok and s2val == as_scalar(_int_stirling2(n, k))
+            s1val = family_value("stirling1", n, k)
+            stirling1_ok = stirling1_ok and s1val == first_kind_oracle(konvalina.naturals(max(n - 1, 0)), n - k)
+            stirling1_ok = stirling1_ok and s1val == as_scalar(_int_stirling1(n, k))
             gval = family_value("gauss", n, k)
             gauss_ok = gauss_ok and gval == second_kind_oracle(qpowers(n - k + 1), k)
             gauss_ok = gauss_ok and gval == _q_binomial_by_factorials(n, k)
@@ -237,9 +241,10 @@ def suite_families(rows: int = 12) -> SuiteResult:
     return result
 
 
-def suite_operator(limit: int = 10, depth: int = 12) -> SuiteResult:
+def suite_operator() -> SuiteResult:
     """Operator arrays against scalar q-arrays, classical arrays, and shapes."""
     result = SuiteResult("operator")
+    limit, depth = 10, 12
     qf = get_psi("qfact")
     qf_base = qhat(qf, depth)
 
@@ -263,17 +268,15 @@ def suite_operator(limit: int = 10, depth: int = 12) -> SuiteResult:
     for base, top in ((qf_base, limit), (qhat(get_psi("fibonacci"), depth), 6)):
         for entries_of in (n_qhat_entries, qhat_power_entries):
             full = entries_of(base, top)
+            # c[n][k] and s[n][k]: both kinds over the first n entries, each computed once
+            prefixes = [full.prefix(n) for n in range(top + 1)]
+            c = [[konkwa_first_kind(ow, k) for k in range(top + 1)] for ow in prefixes]
+            s = [[konkwa_second_kind(ow, k) for k in range(top + 1)] for ow in prefixes]
             for n in range(1, top + 1):
-                ow = full.prefix(n)
-                shorter = full.prefix(n - 1)
                 wn = full.entries[n - 1]
                 for k in range(1, top + 1):
-                    lhs_c = konkwa_first_kind(ow, k)
-                    rhs_c = konkwa_first_kind(shorter, k) + wn * konkwa_first_kind(shorter, k - 1)
-                    shape_ok = shape_ok and lhs_c == rhs_c
-                    lhs_s = konkwa_second_kind(ow, k)
-                    rhs_s = konkwa_second_kind(shorter, k) + wn * konkwa_second_kind(ow, k - 1)
-                    shape_ok = shape_ok and lhs_s == rhs_s
+                    shape_ok = shape_ok and c[n][k] == c[n - 1][k] + wn * c[n - 1][k - 1]
+                    shape_ok = shape_ok and s[n][k] == s[n - 1][k] + wn * s[n][k - 1]
     result.check(shape_ok, f"two-term recurrence shapes hold as eigenvalue identities, n,k <= {limit}")
     return result
 
@@ -282,16 +285,17 @@ _GENFUN_K_MAX = 6
 _PSI_DEFAULTS = ("classical", "qfact", "fibonacci")
 
 
-def suite_genfun(order: int = 20, k_max: int = _GENFUN_K_MAX, n_max: int = 12, psi: str | None = None) -> SuiteResult:
+def suite_genfun(order: int = 20, psi: str | None = None) -> SuiteResult:
     """Generating-function identities for the deformed Stirling triangles.
 
     ``psi`` restricts the checks to one sequence; by default all three run.
     """
     result = SuiteResult("genfun")
+    n_max = 12
     for name in _PSI_DEFAULTS if psi is None else (psi,):
         sequence = get_psi(name)
-        series_ok = all(check_stirling2_series(sequence, k, order) for k in range(k_max + 1))
-        result.check(series_ok, f"second-kind column series ({name}), k <= {k_max}, order {order}")
+        series_ok = all(check_stirling2_series(sequence, k, order) for k in range(_GENFUN_K_MAX + 1))
+        result.check(series_ok, f"second-kind column series ({name}), k <= {_GENFUN_K_MAX}, order {order}")
         poly_ok = all(check_stirling1_polynomial(sequence, n) for n in range(1, n_max + 1))
         result.check(poly_ok, f"first-kind row polynomial ({name}), n <= {n_max}")
     return result

@@ -37,12 +37,12 @@ def test_criterion_1_triad_duality():
 
 
 def test_criterion_2_oracle_equivalence():
-    result = suite_konvalina_oracle(count=200, max_len=8, seed=7)
+    result = suite_konvalina_oracle(seed=7)
     _report(2, result.ok, "tables == enumeration and triangle == reindexed values, 200 vectors")
 
 
 def test_criterion_3_propositions():
-    result = suite_propositions(count=100, seed=7)
+    result = suite_propositions(seed=7)
     _report(3, result.ok, "decomposition/split identities, 100 random + symbolic vectors")
 
 
@@ -69,12 +69,12 @@ def test_criterion_5_family_mappings():
 
 
 def test_criterion_6_operator_tower():
-    result = suite_operator(limit=10, depth=12)
+    result = suite_operator()
     _report(6, result.ok, "operator arrays act as q-array/classical multiplication; shapes hold")
 
 
 def test_criterion_7_generating_functions():
-    result = suite_genfun(order=20, k_max=6, n_max=12)
+    result = suite_genfun(order=20)
     _report(7, result.ok, "column series to order 20 (k <= 6) and row polynomials (n <= 12), three sequences")
 
 

@@ -279,6 +279,7 @@ def test_konvalina_table_json_matches_golden(capsys, kind):
             )
             for array in ("binom", "stirling1", "stirling2")
         ),
+        (("verify", "--suite", "all", "--seed", "11"), "verify_all_seed11.txt"),
     ],
 )
 def test_cli_output_matches_golden(capsys, argv, golden):

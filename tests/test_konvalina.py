@@ -292,12 +292,6 @@ def test_weight_rules_materialize_to_closed_forms():
 
 def test_weight_vector_access():
     w = WeightVector.of([4, 5, 6])
-    assert w.w(1) == as_scalar(4)
-    assert w.tail(1).weights == (as_scalar(5), as_scalar(6))
     assert w.prefix(2).weights == (as_scalar(4), as_scalar(5))
-    with pytest.raises(IndexError):
-        w.w(0)
-    with pytest.raises(IndexError):
-        w.w(4)
     assert w.constant_values() == [4, 5, 6]
     assert WeightVector.of([Q]).constant_values() is None

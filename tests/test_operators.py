@@ -199,7 +199,7 @@ def test_operator_suite_builds_qhat_once_per_sequence(monkeypatch):
 
     monkeypatch.setattr(operators, "qhat", counting_qhat)
     monkeypatch.setattr(suites, "qhat", counting_qhat)
-    assert suites.suite_operator(limit=3, depth=4).ok
+    assert suites.suite_operator().ok
     assert len(calls) <= 2
 
 

@@ -1,0 +1,90 @@
+"""The verify suites: what each one reads, how often it computes, what a fault turns to FAIL."""
+
+import inspect
+import random
+
+import pytest
+
+from triads import families, operators, suites
+from triads.suites import SUITE_NAMES, SUITE_RUNNERS
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_parameters_are_the_options_it_reads(name):
+    suite, reads = SUITE_RUNNERS[name]
+    assert set(inspect.signature(suite).parameters) == set(reads)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_operator_suite_computes_each_konkwa_value_once(monkeypatch):
+    calls = _counting(monkeypatch, operators, "_konkwa")
+    assert suites.suite_operator().ok
+    # 198 array entries, then per sequence and entry builder one first-kind
+    # and one second-kind table of (top + 1)^2 values: 2 * 2 * (11^2 + 7^2)
+    assert len(calls) == 198 + 4 * (11**2 + 7**2) == 878
+
+
+def test_oracle_suite_enumerates_each_second_kind_value_once(monkeypatch):
+    rng = random.Random(7)
+    expected = sum((len(suites._random_weights(rng)) + 1) ** 2 for _ in range(200))
+    calls = _counting(monkeypatch, suites, "second_kind_oracle")
+    assert suites.suite_konvalina_oracle(seed=7).ok
+    assert len(calls) == expected == 6841
+
+
+def _failed_by(fault, run):
+    """Texts of the lines of ``run()`` that PASS as the suite stands and FAIL once ``fault()`` is applied."""
+    before = {text: ok for ok, text in run().lines}
+    assert all(before.values())
+    fault()
+    after = {text: ok for ok, text in run().lines}
+    assert after.keys() == before.keys()
+    return {text for text, ok in after.items() if not ok}
+
+
+def _doubled_at(real, witness):
+    """``real`` with its value doubled when its last two arguments are ``witness``."""
+
+    def perturbed(*args):
+        value = real(*args)
+        return value + value if args[-2:] == witness else value
+
+    return perturbed
+
+
+def test_triangle_fault_fails_only_the_triangle_line(monkeypatch):
+    fault = _doubled_at(suites.second_kind_triangle, (3, 1))
+    failed = _failed_by(lambda: monkeypatch.setattr(suites, "second_kind_triangle", fault), suites.suite_konvalina_oracle)
+    assert failed == {"triangle reindexing == enumeration, 200 random vectors"}
+
+
+def test_second_kind_operator_fault_fails_only_the_shape_line(monkeypatch):
+    real = suites.konkwa_second_kind
+
+    def fault(ow, k):
+        value = real(ow, k)
+        return value + value if (len(ow), k) == (2, 1) else value
+
+    failed = _failed_by(lambda: monkeypatch.setattr(suites, "konkwa_second_kind", fault), suites.suite_operator)
+    assert failed == {"two-term recurrence shapes hold as eigenvalue identities, n,k <= 10"}
+
+
+def test_stirling2_family_fault_fails_only_the_lines_that_read_it(monkeypatch):
+    fault = _doubled_at(families.FAMILIES["stirling2"], (5, 2))
+    failed = _failed_by(lambda: monkeypatch.setitem(families.FAMILIES, "stirling2", fault), suites.suite_families)
+    # the triad cross-check compares the triad triangle with the same family value
+    assert failed == {
+        "stirling2 == enumeration == integer recurrence, n <= 12",
+        "triad triangle == weighted mapping (stirling2), n <= 12",
+    }
