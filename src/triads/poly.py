@@ -6,7 +6,9 @@ The canonical string form is descending, "c_k*x^k + ... + c_0"; the JSON
 form is the ascending list of Scalar text forms.
 
 A fixed degree cap of 64 guards against runaway symbolic growth;
-operations that would exceed it raise :class:`DegreeLimitError`.
+operations that would exceed it raise :class:`DegreeLimitError`.  Its
+counterpart for q is ``scalar._Q_DEGREE_CAP``, which bounds the q-degree
+of everything :func:`parse_poly` and ``parse_scalar`` build.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .scalar import ONE, Scalar, ZERO, _wrap, as_scalar, parse_expression
+from .scalar import ONE, Scalar, ZERO, _q_degree, _wrap, as_scalar, parse_expression
 
 _DEGREE_CAP = 64
 
@@ -101,9 +103,9 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int):
             raise TypeError("polynomial exponent must be an integer")
+        if self.degree() == 0:
+            return Poly._raw((self.coeffs[0] ** n,))
         if n < 0:
-            if self.degree() == 0:
-                return Poly._raw((self.coeffs[0] ** n,))
             raise ValueError("negative power of a non-constant polynomial")
         result = P_ONE
         for _ in range(n):
@@ -191,6 +193,11 @@ def parse_poly(text: str) -> Poly:
     from .scalar import Q
 
     q_poly = Poly._raw((Q,))
-    value = parse_expression(text, {"q": q_poly, "x": X}, lambda n: Poly._raw((as_scalar(n),)))
+    value = parse_expression(
+        text,
+        {"q": q_poly, "x": X},
+        lambda n: Poly._raw((as_scalar(n),)),
+        lambda p: max(map(_q_degree, p.coeffs)),
+    )
     assert isinstance(value, Poly)
     return value

@@ -17,7 +17,10 @@ Representation:
 
 ``Scalar.__add__`` and ``__mul__`` of two operands over the unit
 denominator combine the numerators with QPoly arithmetic alone, with no
-gcd: the result is already canonical.
+gcd: the result is already canonical.  So does ``Scalar.__pow__``, which
+raises the numerator and the denominator separately: a power of a
+monomial c*q^k is c^n*q^(kn) in closed form, with no products, and any
+other QPoly is raised by repeated squaring.
 
 QPoly products take one of two paths, chosen from the operands alone.
 Kronecker substitution packs each operand into one Python int at a fixed
@@ -34,6 +37,8 @@ ascending-power strings ("1 + q - 2*q^3"), quotients as "num / den" with
 parentheses around any part containing spaces.  :func:`parse_scalar` reads
 the same grammar back (signed rational coefficients, q^k powers, the four
 arithmetic operators, parentheses), so ``parse_scalar(str(s)) == s``.
+The parser refuses, with :class:`ParseError`, any exponent or value whose
+q-degree exceeds ``_Q_DEGREE_CAP``, so no text builds an unbounded QPoly.
 """
 
 from __future__ import annotations
@@ -116,7 +121,9 @@ class QPoly:
         out = list(a)
         for i, bi in enumerate(b):
             if bi:
-                out[i] = out[i] + bi
+                c = out[i] + bi
+                # two Fractions can sum to an integer, which is kept as an int
+                out[i] = c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
         while len(out) > 1 and out[-1] == 0:
             out.pop()
         return QPoly._raw(tuple(out))
@@ -143,7 +150,28 @@ class QPoly:
                 for j, bj in enumerate(b):
                     if bj:
                         out[i + j] += ai * bj
+        # A Fraction times an int or a Fraction can be an integer.  Any
+        # Fraction makes the sum a Fraction, which is cheaper to test than
+        # the type of every coefficient.
+        if sum(out).__class__ is not int:
+            out = [_as_coeff(c) for c in out]
         return QPoly._raw(tuple(out))
+
+    def __pow__(self, n: int) -> "QPoly":
+        """The n-th power, n >= 0: c*q^k gives c^n*q^(kn) with no products."""
+        if n < 0:
+            raise ValueError("negative power of a q-polynomial")
+        cs = self.coeffs
+        if cs.count(0) == len(cs) - 1:
+            return QPoly._raw((0,) * ((len(cs) - 1) * n) + (_as_coeff(cs[-1] ** n),))
+        result, base = QP_ONE, self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     def scale(self, c: Coeff) -> "QPoly":
         if c == 0:
@@ -202,8 +230,8 @@ class QPoly:
 # three benchmark workloads through both paths (Python 3.11, 2 vCPUs), the
 # total was flat for factors 1 to 4 and rose above 4 (gate: +0.12 s at 8);
 # below 4, dense operands of length 5 to 8 lose to schoolbook's smaller fixed
-# cost.  Sparse operands, such as the q^k monomials that parse_scalar
-# squares, stay on schoolbook.
+# cost.  Sparse operands, such as products of the q^k monomials that
+# parse_scalar reads (their powers are closed form), stay on schoolbook.
 _KRONECKER_DENSITY = 4
 _INT_ONLY = frozenset((int,))
 # Signed array formats by item size in bytes: the slot widths packed at C speed.
@@ -385,16 +413,15 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
             raise TypeError("scalar exponent must be an integer")
+        num, den = self.num, self.den
         if n < 0:
-            return (ONE / self) ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            if num.is_zero():
+                raise ZeroDivisionError("division by zero in Q(q)")
+            # den / num, scaled so that the new denominator is monic
+            inv = Fraction(1, num.lead())
+            num, den, n = den.scale(inv), num.scale(inv), -n
+        # num and den are coprime and den is monic, so their powers are too
+        return Scalar._raw(num**n, den**n)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -513,27 +540,39 @@ def _wrap(s: str) -> str:
     return f"({s})" if " " in s else s
 
 
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z]+|\S")
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z]+|\S")
+
+# Largest q-degree of a numerator or denominator that the parser builds.  It
+# is above every text the package prints at the sizes it is run at, and
+# `table --family gauss --rows 64` (q-degree 32 * 32 = 1024 at most) still
+# parses back, while (1 + q)^1024 parses in well under a second.
+_Q_DEGREE_CAP = 1024
 
 
 def tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if text[pos:m.start()].strip():
-            raise ParseError(f"unexpected character in {text!r} at position {pos}")
-        tokens.append(m.group())
-        pos = m.end()
-    return tokens
+    return _TOKEN_RE.findall(text)
 
 
-def parse_expression(text: str, atoms: dict[str, object], from_int: Callable[[int], object]):
+def _is_integer(tok: str) -> bool:
+    return tok.isascii() and tok.isdigit()
+
+
+def parse_expression(
+    text: str,
+    atoms: dict[str, object],
+    from_int: Callable[[int], object],
+    q_degree: Callable[[object], int],
+):
     """Recursive-descent evaluator for the scalar/polynomial expression grammar.
 
     ``atoms`` maps symbol names (e.g. "q", "x") to algebra values; the value
-    type must support +, -, *, /, unary minus and integer **.  Nesting of
-    parentheses or unary minus deeper than the recursion limit allows is a
-    :class:`ParseError`, like any other bad input.
+    type must support +, -, *, /, unary minus and integer **.  ``q_degree``
+    gives the largest q-degree of a numerator or denominator in a value.
+    These are :class:`ParseError`, like any other bad input: an exponent over
+    ``_Q_DEGREE_CAP``; a power whose q-degree would exceed it, refused before
+    it is computed; a sum, difference, product or quotient whose q-degree
+    exceeds it; and nesting of parentheses or unary minus deeper than the
+    recursion limit allows.
     """
     tokens = tokenize(text)
     pos = 0
@@ -549,12 +588,17 @@ def parse_expression(text: str, atoms: dict[str, object], from_int: Callable[[in
         pos += 1
         return tok
 
+    def check(degree: int) -> None:
+        if degree > _Q_DEGREE_CAP:
+            raise ParseError(f"q-degree {degree} exceeds cap {_Q_DEGREE_CAP} in {text!r}")
+
     def parse_sum():
         value = parse_product()
         while peek() in ("+", "-"):
             op = take()
             rhs = parse_product()
             value = value + rhs if op == "+" else value - rhs
+            check(q_degree(value))
         return value
 
     def parse_product():
@@ -563,6 +607,7 @@ def parse_expression(text: str, atoms: dict[str, object], from_int: Callable[[in
             op = take()
             rhs = parse_factor()
             value = value * rhs if op == "*" else value / rhs
+            check(q_degree(value))
         return value
 
     def parse_factor():
@@ -580,14 +625,18 @@ def parse_expression(text: str, atoms: dict[str, object], from_int: Callable[[in
                 take()
                 sign = -1
             tok = take()
-            if not tok.isdigit():
+            if not _is_integer(tok):
                 raise ParseError(f"integer exponent expected, got {tok!r} in {text!r}")
-            return base ** (sign * int(tok))
+            n = int(tok)
+            if n > _Q_DEGREE_CAP:
+                raise ParseError(f"exponent {n} exceeds cap {_Q_DEGREE_CAP} in {text!r}")
+            check(q_degree(base) * n)
+            return base ** (sign * n)
         return base
 
     def parse_atom():
         tok = take()
-        if tok.isdigit():
+        if _is_integer(tok):
             return from_int(int(tok))
         if tok in atoms:
             return atoms[tok]
@@ -610,8 +659,12 @@ def parse_expression(text: str, atoms: dict[str, object], from_int: Callable[[in
     return value
 
 
+def _q_degree(s: Scalar) -> int:
+    return max(len(s.num.coeffs), len(s.den.coeffs)) - 1
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar text grammar back into a canonical Scalar."""
-    value = parse_expression(text, {"q": Q}, lambda n: as_scalar(n))
+    value = parse_expression(text, {"q": Q}, as_scalar, _q_degree)
     assert isinstance(value, Scalar)
     return value

@@ -288,6 +288,49 @@ def test_cli_output_matches_golden(capsys, argv, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json") if p.name.startswith(("table_", "konvalina_"))))
+def test_golden_cells_parse_back_to_the_same_text(golden):
+    rows = json.loads((GOLDEN / golden).read_text())["rows"]
+    for row in rows:
+        for text in row:
+            assert str(parse_scalar(text)) == text
+
+
+_OVER_CAP = "q^2000000"
+
+
+def _assert_one_line_cap_error(code, out, err, prefix):
+    assert code == 2 and out == ""
+    assert err.startswith(prefix) and "exceeds cap 1024" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [f"1,{_OVER_CAP}", "(1+q)^1025", "q^600*q^600"])
+def test_weights_over_the_q_degree_cap_are_usage_error(capsys, text):
+    code, out, err = run(capsys, "konvalina", f"--weights={text}", "--k", "1")
+    _assert_one_line_cap_error(code, out, err, "error: bad --weights value:")
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_spec_entry_over_the_q_degree_cap_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"i": ["1"] * 4, "q": [_OVER_CAP, "1", "1", "1"], "d": ["0"] * 4}))
+    code, out, err = run(capsys, command, "--spec", str(path), "--rows", "3")
+    _assert_one_line_cap_error(code, out, err, "error: ")
+
+
+@pytest.mark.parametrize("text", [_OVER_CAP, "q^32000", "(x + q^600)*q^600"])
+def test_apply_over_the_q_degree_cap_is_usage_error(capsys, text):
+    code, out, err = run(capsys, "operator", "--array", "binom", "--n", "3", "--k", "1", "--apply", text)
+    _assert_one_line_cap_error(code, out, err, "error: bad --apply polynomial:")
+
+
+@pytest.mark.parametrize("text, token", [("²", "'²'"), ("٣*q", "'٣'")])
+def test_non_ascii_digits_are_usage_error(capsys, text, token):
+    code, out, err = run(capsys, "konvalina", "--weights", text, "--k", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: bad --weights value: unexpected token {token} in {text!r}\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "table"])
 def test_spec_division_by_zero_is_usage_error(capsys, tmp_path, command):
     path = tmp_path / "pole.json"

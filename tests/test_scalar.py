@@ -1,6 +1,7 @@
 """Field arithmetic, canonical forms, and the text grammar."""
 
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triads import scalar
+from triads.poly import P_ONE, Poly, parse_poly
 from triads.scalar import (
     ONE,
     ParseError,
@@ -69,6 +71,20 @@ def test_reciprocal_is_canonical():
     assert hash(as_scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
 
 
+def test_integral_fraction_sums_and_products_are_ints():
+    half = as_scalar(Fraction(1, 2))
+    for value, coeffs in (
+        (half + half, (1,)),
+        (half * (2 * Q), (0, 1)),
+        (as_scalar(Fraction(2, 3)) * as_scalar(Fraction(3, 2)), (1,)),
+        ((half + half) * Q, (0, 1)),
+        ((half * Q + 1) + (half * Q + 2), (3, 1)),
+    ):
+        assert _typed(value.num.coeffs) == _typed(coeffs)
+    assert _typed((QPoly([Fraction(1, 2), 1]) + QPoly([Fraction(1, 2)])).coeffs) == [(1, int), (1, int)]
+    assert _typed((QPoly([Fraction(1, 2)]) * QPoly([0, 2])).coeffs) == [(0, int), (1, int)]
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         (Q + 1) / ZERO
@@ -111,6 +127,37 @@ def test_parse_errors():
     for bad in ("", "q +", "1 ^ q", "(1 + q", "2 $ 3", "q^^2") + deep:
         with pytest.raises(ParseError):
             parse_scalar(bad)
+
+
+@pytest.mark.parametrize("text, token", [("²", "²"), ("٣*q", "٣"), ("q^²", "²"), ("1٣", "٣")])
+def test_only_ascii_digits_are_numbers(text, token):
+    # str.isdigit() and the regex \d accept other scripts' digits; int() reads
+    # some of them and raises on others
+    with pytest.raises(ParseError, match=repr(token)):
+        parse_scalar(text)
+
+
+def test_q_degree_cap():
+    cap = scalar._Q_DEGREE_CAP
+    assert parse_scalar(f"q^{cap}") == qpow(cap)
+    assert parse_scalar(f"1 / q^{cap}") == qpow(-cap)
+    assert parse_scalar("q^600 / q^600") == ONE  # the quotient, not its operands, is bounded
+    assert parse_scalar(f"2^{cap}") == as_scalar(2**cap)
+    refused = {
+        f"q^{cap + 1}": f"exponent {cap + 1} exceeds cap",
+        f"q^-{cap + 1}": f"exponent {cap + 1} exceeds cap",
+        f"2^{cap + 1}": f"exponent {cap + 1} exceeds cap",
+        "q^2000000": "exponent 2000000 exceeds cap",
+        "(q^2)^600": "q-degree 1200 exceeds cap",  # refused before the power is computed
+        "(1 + q^2)^-600": "q-degree 1200 exceeds cap",
+        "q^600 * q^600": "q-degree 1200 exceeds cap",
+        "q^600 / (1 + q^600)^-1": "q-degree 1200 exceeds cap",
+        "1 / (1 + q^600) + 1 / (1 + q^601)": "q-degree 1201 exceeds cap",
+        "q^600 * q^600 / q^600": "q-degree 1200 exceeds cap",
+    }
+    for text, message in refused.items():
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_scalar(text)
 
 
 def test_parse_precedence():
@@ -209,6 +256,70 @@ def test_canonicalization_is_idempotent(a):
     assert QPoly.gcd(a.num, a.den).is_one() or a.is_zero()
 
 
+# -- powers ------------------------------------------------------------------
+
+_MONOMIAL_COEFFS = (1, -1, 3, -3, Fraction(1, 2), Fraction(-1, 2))
+
+
+def _power_by_products(x, n):
+    result = ONE
+    for _ in range(abs(n)):
+        result = result * x
+    return result if n >= 0 else ONE / result
+
+
+def test_monomial_power_matches_repeated_multiplication():
+    for c in _MONOMIAL_COEFFS:
+        for e in (0, 1, 2, 5, 17, 40):
+            for base in (c * qpow(e), c / qpow(e)):
+                for n in range(-3, 13):
+                    power = base**n
+                    reference = _power_by_products(base, n)
+                    assert power == reference, (c, e, n)
+                    # same types too: an integral coefficient is an int, never Fraction(k, 1)
+                    assert _typed(power.num.coeffs) == _typed(reference.num.coeffs), (c, e, n)
+                    assert _typed(power.den.coeffs) == _typed(reference.den.coeffs), (c, e, n)
+                    assert all(type(v) is int for v in power.den.coeffs)
+                    product = P_ONE
+                    for _ in range(abs(n)):
+                        product = product * Poly([base])
+                    assert Poly([base]) ** n == (product if n >= 0 else P_ONE / product), (c, e, n)
+    assert _typed((as_scalar(Fraction(1, 2)) ** 0).num.coeffs) == [(1, int)]
+    with pytest.raises(ValueError):
+        QPoly([1, 1]) ** -1
+    assert ZERO**0 == ONE and ZERO**5 == ZERO
+    with pytest.raises(ZeroDivisionError):
+        ZERO**-1
+
+
+@settings(deadline=None)
+@given(scalars(), st.integers(min_value=-3, max_value=6))
+def test_power_matches_repeated_multiplication(a, n):
+    if a.is_zero() and n < 0:
+        return
+    power, reference = a**n, _power_by_products(a, n)
+    assert _typed(power.num.coeffs) == _typed(reference.num.coeffs)
+    assert _typed(power.den.coeffs) == _typed(reference.den.coeffs)
+
+
+def test_monomial_powers_make_no_products(monkeypatch):
+    # a guard against q^k being built by repeated squaring again
+    cap = scalar._Q_DEGREE_CAP
+    half_q = Q / 2
+    expected = [qpow(cap), Poly([qpow(cap)]), qpow(-cap), qpow(4000), 2**4000 * qpow(-4000)]
+    products = []
+    real = QPoly.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(QPoly, "__mul__", counting)
+    powers = [parse_scalar(f"q^{cap}"), parse_poly(f"q^{cap}"), parse_scalar(f"q^-{cap}"), Q**4000, half_q**-4000]
+    assert products == []
+    assert powers == expected
+
+
 # -- the QPoly product kernel -----------------------------------------------
 
 
@@ -286,7 +397,7 @@ def test_product_path_follows_density_and_coefficient_type(monkeypatch):
     cases = [
         (dense, dense, True),
         (dense[:4], dense, False),  # the shorter operand has at most 4 coefficients
-        ([0] * 80 + [1], [0] * 99 + [3], False),  # monomials, as q^k is built by squaring
+        ([0] * 80 + [1], [0] * 99 + [3], False),  # monomials
         (_sparse(100, least - 1, rng), _sparse(100, least - 1, rng), False),
         (_sparse(100, least, rng), _sparse(100, least, rng), True),
         (dense[:-1] + [Fraction(1, 3)], dense, False),
