@@ -48,9 +48,6 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Scalar:
-        return self.coeffs[n]
-
     def _match(self, other: "Series") -> None:
         if self.order != other.order:
             raise OrderMismatchError(f"series orders differ: {self.order} != {other.order}")

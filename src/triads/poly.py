@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .scalar import ONE, Scalar, ZERO, _q_degree, _wrap, as_scalar, parse_expression
+from .scalar import ONE, Scalar, ZERO, _size, _wrap, as_scalar, parse_expression
 
 _DEGREE_CAP = 64
 
@@ -58,9 +58,6 @@ class Poly:
 
     def lead(self) -> Scalar:
         return self.coeffs[-1]
-
-    def coefficient(self, k: int) -> Scalar:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -188,6 +185,11 @@ def format_poly(p: Poly) -> str:
     return "".join(parts)
 
 
+def _poly_size(p: Poly) -> tuple[int, int]:
+    degrees, bits = zip(*map(_size, p.coeffs))
+    return max(degrees), max(bits)
+
+
 def parse_poly(text: str) -> Poly:
     """Parse the polynomial grammar (the scalar grammar plus the symbol x)."""
     from .scalar import Q
@@ -197,7 +199,7 @@ def parse_poly(text: str) -> Poly:
         text,
         {"q": q_poly, "x": X},
         lambda n: Poly._raw((as_scalar(n),)),
-        lambda p: max(map(_q_degree, p.coeffs)),
+        _poly_size,
     )
     assert isinstance(value, Poly)
     return value

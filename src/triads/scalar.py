@@ -22,23 +22,30 @@ raises the numerator and the denominator separately: a power of a
 monomial c*q^k is c^n*q^(kn) in closed form, with no products, and any
 other QPoly is raised by repeated squaring.
 
-QPoly products take one of two paths, chosen from the operands alone.
-Kronecker substitution packs each operand into one Python int at a fixed
-slot width, multiplies the two ints once and unpacks the signed slots; it
-runs when every coefficient is an int, the shorter operand has more than 4
-coefficients and nnz(a) * nnz(b) >= C * (len(a) + len(b)), where nnz counts
-nonzero coefficients and C is ``_KRONECKER_DENSITY``.  Every other product,
-including any with a Fraction coefficient and sparse ones such as q^k times
-q^j, is the schoolbook double loop over nonzero coefficients.  Both give the
-same canonical tuple.
+QPoly products take one of three paths, chosen from the operands alone;
+nnz counts an operand's nonzero coefficients.  A monomial operand c*q^e
+(nnz = 1, constants included) makes the product the other operand scaled
+by c and shifted up by e, with no coefficient products when c = 1 and one
+when both operands are monomials.  Kronecker substitution packs each
+operand into one Python int at a fixed slot width, multiplies the two ints
+once and unpacks the signed slots; it runs when every coefficient is an
+int, the shorter operand has more than 4 coefficients and
+nnz(a) * nnz(b) >= C * (len(a) + len(b)), where C is
+``_KRONECKER_DENSITY``.  Every other product, including any with a
+Fraction coefficient, is the schoolbook double loop over nonzero
+coefficients.  All three give the same canonical tuple.
 
 Printing: integers print bare ("5"), polynomials as canonical
 ascending-power strings ("1 + q - 2*q^3"), quotients as "num / den" with
 parentheses around any part containing spaces.  :func:`parse_scalar` reads
 the same grammar back (signed rational coefficients, q^k powers, the four
-arithmetic operators, parentheses), so ``parse_scalar(str(s)) == s``.
-The parser refuses, with :class:`ParseError`, any exponent or value whose
-q-degree exceeds ``_Q_DEGREE_CAP``, so no text builds an unbounded QPoly.
+arithmetic operators, parentheses), so ``parse_scalar(str(s)) == s``.  A
+sum's terms over the unit denominator, such as the printed monomials c*q^k,
+are added with their signs into one coefficient list in place, so parsing
+a printed polynomial takes a bounded number of Python steps per term.  The
+parser refuses, with :class:`ParseError`, any exponent or value whose
+q-degree exceeds ``_Q_DEGREE_CAP`` or whose coefficients are wider than
+``_COEFF_BITS_CAP`` bits, so no text builds an unbounded QPoly.
 """
 
 from __future__ import annotations
@@ -48,6 +55,8 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Callable, Iterable, Union
 
 Rational = Fraction
@@ -133,13 +142,21 @@ class QPoly:
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         a, b = self.coeffs, other.coeffs
-        if self.is_zero() or other.is_zero():
-            return QP_ZERO
         if len(a) > len(b):
             a, b = b, a
+        na, nb = len(a) - a.count(0), len(b) - b.count(0)
+        if not na or not nb:
+            return QP_ZERO
+        if na == 1 or nb == 1:
+            if na != 1:
+                a, b, nb = b, a, na
+            # a is c*q^e: the product is b scaled by c and shifted up by e
+            if nb == 1:
+                return QPoly._raw((0,) * (len(a) + len(b) - 2) + (_as_coeff(a[-1] * b[-1]),))
+            return QPoly._raw((0,) * (len(a) - 1) + _scaled(b, a[-1]))
         if (
             len(a) > 4
-            and (len(a) - a.count(0)) * (len(b) - b.count(0)) >= _KRONECKER_DENSITY * (len(a) + len(b))
+            and na * nb >= _KRONECKER_DENSITY * (len(a) + len(b))
             and _INT_ONLY.issuperset(map(type, a))
             and _INT_ONLY.issuperset(map(type, b))
         ):
@@ -176,7 +193,7 @@ class QPoly:
     def scale(self, c: Coeff) -> "QPoly":
         if c == 0:
             return QP_ZERO
-        return QPoly._raw(tuple(_as_coeff(x * c) if x else 0 for x in self.coeffs))
+        return QPoly._raw(_scaled(self.coeffs, c))
 
     def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if other.is_zero():
@@ -225,13 +242,22 @@ class QPoly:
         return f"QPoly({list(self.coeffs)!r})"
 
 
+def _scaled(cs: tuple, c: Coeff) -> tuple:
+    """The coefficients cs times a nonzero c, an integral Fraction kept as an int."""
+    if c == 1:
+        return cs
+    out = tuple(map(mul, cs, repeat(c, len(cs))))
+    # as in QPoly.__mul__: the sum is an int exactly when every entry is
+    return out if sum(out).__class__ is int else tuple(map(_as_coeff, out))
+
+
 # Kronecker substitution pays off once the schoolbook coefficient products
 # outnumber the packed slots by this factor.  Replaying the products of the
 # three benchmark workloads through both paths (Python 3.11, 2 vCPUs), the
 # total was flat for factors 1 to 4 and rose above 4 (gate: +0.12 s at 8);
 # below 4, dense operands of length 5 to 8 lose to schoolbook's smaller fixed
-# cost.  Sparse operands, such as products of the q^k monomials that
-# parse_scalar reads (their powers are closed form), stay on schoolbook.
+# cost.  Sparse operands with two or more nonzero coefficients stay on
+# schoolbook; a monomial operand never reaches this test.
 _KRONECKER_DENSITY = 4
 _INT_ONLY = frozenset((int,))
 # Signed array formats by item size in bytes: the slot widths packed at C speed.
@@ -547,6 +573,12 @@ _TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z]+|\S")
 # `table --family gauss --rows 64` (q-degree 32 * 32 = 1024 at most) still
 # parses back, while (1 + q)^1024 parses in well under a second.
 _Q_DEGREE_CAP = 1024
+# Largest bit length of a coefficient's numerator or denominator that the
+# parser builds.  Python prints an int of at most 4300 digits by default
+# (sys.get_int_max_str_digits), which is at most 14285 bits, so every
+# coefficient the package can print parses back, while no text builds an
+# integer that takes more than about 2 KB.
+_COEFF_BITS_CAP = 16384
 
 
 def tokenize(text: str) -> list[str]:
@@ -561,18 +593,29 @@ def parse_expression(
     text: str,
     atoms: dict[str, object],
     from_int: Callable[[int], object],
-    q_degree: Callable[[object], int],
+    size: Callable[[object], tuple[int, int]],
 ):
     """Recursive-descent evaluator for the scalar/polynomial expression grammar.
 
     ``atoms`` maps symbol names (e.g. "q", "x") to algebra values; the value
-    type must support +, -, *, /, unary minus and integer **.  ``q_degree``
-    gives the largest q-degree of a numerator or denominator in a value.
+    type must support +, -, *, /, unary minus and integer **.  ``size`` gives
+    a value's largest q-degree and its widest coefficient in bits, over every
+    numerator and denominator in it; a Fraction is as wide as the wider of
+    its numerator and denominator.
+
+    A sum adds its terms after the first that are Scalars over the unit
+    denominator into one coefficient list in place, each with its sign, and
+    adds that polynomial to the rest of the sum at the end.  Every other
+    term -- a Scalar with a denominator, or a value of another type, such as
+    ``Poly`` -- is added to the running sum in order.
+
     These are :class:`ParseError`, like any other bad input: an exponent over
-    ``_Q_DEGREE_CAP``; a power whose q-degree would exceed it, refused before
-    it is computed; a sum, difference, product or quotient whose q-degree
-    exceeds it; and nesting of parentheses or unary minus deeper than the
-    recursion limit allows.
+    ``_Q_DEGREE_CAP``; a power whose q-degree, or whose coefficient width
+    estimated as the base's times the exponent, would exceed
+    ``_Q_DEGREE_CAP`` or ``_COEFF_BITS_CAP``, refused before it is computed;
+    a product, a quotient, a step of a sum that adds a term in order, or a
+    whole sum, whose value exceeds either cap; and nesting of parentheses or
+    unary minus deeper than the recursion limit allows.
     """
     tokens = tokenize(text)
     pos = 0
@@ -588,17 +631,28 @@ def parse_expression(
         pos += 1
         return tok
 
-    def check(degree: int) -> None:
+    def check(degree: int, bits: int) -> None:
         if degree > _Q_DEGREE_CAP:
             raise ParseError(f"q-degree {degree} exceeds cap {_Q_DEGREE_CAP} in {text!r}")
+        if bits > _COEFF_BITS_CAP:
+            raise ParseError(f"coefficient of {bits} bits exceeds cap {_COEFF_BITS_CAP} in {text!r}")
 
     def parse_sum():
         value = parse_product()
+        coeffs = None  # the q-polynomial terms after the first, summed in place
         while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_product()
-            value = value + rhs if op == "+" else value - rhs
-            check(q_degree(value))
+            negate = take() == "-"
+            term = parse_product()
+            if term.__class__ is Scalar and term.den.coeffs == _UNIT:
+                if coeffs is None:
+                    coeffs = [0]
+                _add_into(coeffs, term.num.coeffs, negate)
+            else:
+                value = value - term if negate else value + term
+                check(*size(value))
+        if coeffs is not None:
+            value = value + Scalar._raw(QPoly(coeffs), QP_ONE)
+            check(*size(value))
         return value
 
     def parse_product():
@@ -607,7 +661,7 @@ def parse_expression(
             op = take()
             rhs = parse_factor()
             value = value * rhs if op == "*" else value / rhs
-            check(q_degree(value))
+            check(*size(value))
         return value
 
     def parse_factor():
@@ -630,7 +684,8 @@ def parse_expression(
             n = int(tok)
             if n > _Q_DEGREE_CAP:
                 raise ParseError(f"exponent {n} exceeds cap {_Q_DEGREE_CAP} in {text!r}")
-            check(q_degree(base) * n)
+            degree, bits = size(base)
+            check(degree * n, bits * n)
             return base ** (sign * n)
         return base
 
@@ -659,12 +714,37 @@ def parse_expression(
     return value
 
 
-def _q_degree(s: Scalar) -> int:
-    return max(len(s.num.coeffs), len(s.den.coeffs)) - 1
+def _add_into(acc: list, cs: tuple, negate: bool) -> None:
+    """Add the coefficients cs, negated if ``negate``, into the list acc in place."""
+    if len(acc) < len(cs):
+        acc.extend(repeat(0, len(cs) - len(acc)))
+    k = len(cs) - 1
+    if cs.count(0) == k:
+        acc[k] = acc[k] - cs[k] if negate else acc[k] + cs[k]
+    else:
+        acc[: k + 1] = map(sub if negate else add, acc, cs)
+
+
+def _coeff_bits(cs: tuple) -> int:
+    """The largest bit length of a numerator or denominator among the coefficients cs."""
+    if cs.count(0) == len(cs) - 1:
+        cs = cs[-1:]  # a monomial, such as every c*q^k a printed polynomial is read as
+    # as in QPoly.__mul__: the sum is an int exactly when every entry is
+    if sum(cs).__class__ is int:
+        return max(max(cs), -min(cs)).bit_length()
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in cs)
+
+
+def _size(s: Scalar) -> tuple[int, int]:
+    """The largest q-degree and coefficient bit length of s's numerator and denominator."""
+    num, den = s.num.coeffs, s.den.coeffs
+    if den == _UNIT:
+        return len(num) - 1, _coeff_bits(num)
+    return max(len(num), len(den)) - 1, max(_coeff_bits(num), _coeff_bits(den))
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar text grammar back into a canonical Scalar."""
-    value = parse_expression(text, {"q": Q}, as_scalar, _q_degree)
+    value = parse_expression(text, {"q": Q}, as_scalar, _size)
     assert isinstance(value, Scalar)
     return value

@@ -299,15 +299,21 @@ def test_golden_cells_parse_back_to_the_same_text(golden):
 _OVER_CAP = "q^2000000"
 
 
-def _assert_one_line_cap_error(code, out, err, prefix):
+def _assert_one_line_cap_error(code, out, err, prefix, cap=1024):
     assert code == 2 and out == ""
-    assert err.startswith(prefix) and "exceeds cap 1024" in err and err.count("\n") == 1
+    assert err.startswith(prefix) and f"exceeds cap {cap}" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", [f"1,{_OVER_CAP}", "(1+q)^1025", "q^600*q^600"])
 def test_weights_over_the_q_degree_cap_are_usage_error(capsys, text):
     code, out, err = run(capsys, "konvalina", f"--weights={text}", "--k", "1")
     _assert_one_line_cap_error(code, out, err, "error: bad --weights value:")
+
+
+@pytest.mark.parametrize("text", ["(9^1024)^1024 - (9^1024)^1024 + 1", "9^1024 * 9^1024 * 9^1024 * 9^1024 * 9^1024 * 9^1024"])
+def test_weights_over_the_coefficient_cap_are_usage_error(capsys, text):
+    code, out, err = run(capsys, "konvalina", f"--weights={text}", "--k", "1")
+    _assert_one_line_cap_error(code, out, err, "error: bad --weights value:", 16384)
 
 
 @pytest.mark.parametrize("command", ["verify", "table"])

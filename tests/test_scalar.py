@@ -154,10 +154,38 @@ def test_q_degree_cap():
         "q^600 / (1 + q^600)^-1": "q-degree 1200 exceeds cap",
         "1 / (1 + q^600) + 1 / (1 + q^601)": "q-degree 1201 exceeds cap",
         "q^600 * q^600 / q^600": "q-degree 1200 exceeds cap",
+        # a polynomial term and a term with a denominator in one sum
+        "1/(1+q^300) + q^1000": "q-degree 1300 exceeds cap",
+        "q^1000 - 1/(1+q^300)": "q-degree 1300 exceeds cap",
+        "2 - q^1000 + 1/(1+q^300) + q": "q-degree 1300 exceeds cap",
+        "(q^1000 + q)/(1+q^300) - q^1000": "q-degree 1300 exceeds cap",
     }
     for text, message in refused.items():
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_scalar(text)
+
+
+def test_coefficient_bits_cap():
+    cap = scalar._COEFF_BITS_CAP
+    widest = 10**4300 - 1  # the largest int Python prints under its default digit limit
+    assert parse_scalar(f"{widest}*q^5 - 1/{widest}") == widest * qpow(5) - Fraction(1, widest)
+    assert parse_scalar("2^1024") == as_scalar(2**1024)
+    assert parse_scalar("(9^1024)^4") == as_scalar(9**4096)  # the estimate 4 * 3247 bits is under the cap
+    nine = "9^1024"  # 3247 bits
+    refused = {
+        # a power is refused on its estimate, before it is computed
+        f"({nine})^1024 - ({nine})^1024 + 1": "coefficient of 3324928 bits",
+        f"(1/{nine})^-6": "coefficient of 19482 bits",
+        f"({nine}*q + 1)^6 - 1": "coefficient of 19482 bits",
+        # a product or quotient after it is computed
+        " * ".join([nine] * 6): "coefficient of 19477 bits",
+        "1" + f" / {nine}" * 6: "coefficient of 19477 bits",
+    }
+    for text, message in refused.items():
+        with pytest.raises(ParseError, match=re.escape(f"{message} exceeds cap {cap}")):
+            parse_scalar(text)
+    with pytest.raises(ParseError, match=re.escape(f"exceeds cap {cap}")):
+        parse_poly(f"({nine}*x + q)^6")
 
 
 def test_parse_precedence():
@@ -233,6 +261,55 @@ def test_equality_is_subtraction_to_zero(a, b):
 @given(scalars())
 def test_text_round_trip(a):
     assert parse_scalar(str(a)) == a
+
+
+@st.composite
+def sum_terms(draw):
+    """Signed terms of a sum: monomials, dense polynomials and quotients.
+
+    Monomial coefficients are halves, so two of them often add up to an
+    integer; now and then the terms are followed by their own negations,
+    so the sum cancels to 0.
+    """
+    monomial = st.builds(
+        lambda c, k: c * qpow(k),
+        st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2))),
+        st.integers(0, 40),
+    )
+    terms = draw(st.lists(st.tuples(st.booleans(), st.one_of(monomial, monomial, scalars())), min_size=1, max_size=12))
+    if draw(st.integers(0, 4)) == 0:
+        terms += [(not negate, term) for negate, term in terms]
+    return terms
+
+
+@settings(deadline=None, max_examples=200)
+@given(sum_terms())
+def test_parsed_sum_matches_the_fold(terms):
+    text = "".join(f" {'-' if negate else '+'} ({term})" for negate, term in terms).removeprefix(" + ")
+    total = ZERO
+    for negate, term in terms:
+        total = total - term if negate else total + term
+    value = parse_scalar(text)
+    assert value == total
+    assert _typed(value.num.coeffs) == _typed(total.num.coeffs)
+    assert _typed(value.den.coeffs) == _typed(total.den.coeffs)
+
+
+def test_monomial_sum_makes_one_polynomial_addition(monkeypatch):
+    # the terms of a sum of q-polynomials are added into one list in place
+    terms = [f"{c}*q^{k}" for k, c in enumerate((3, Fraction(1, 2), 7, Fraction(-5, 2)) * 64)]
+    text = " - ".join(terms[:100]) + " + " + " + ".join(terms[100:])
+    expected = parse_scalar(text)
+    calls = []
+    real = QPoly.__add__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(QPoly, "__add__", counting)
+    assert parse_scalar(text) == expected
+    assert len(calls) <= 1
 
 
 @settings(deadline=None)
@@ -329,8 +406,13 @@ def coefficient_lists(draw):
 
     Magnitudes run from single bits past 2^64, so every slot width is drawn;
     zeros fall inside and at both ends (the high end is trimmed by QPoly),
-    and now and then one coefficient is a proper Fraction.
+    and now and then one coefficient is a proper Fraction.  One list in six
+    is a monomial c*q^e.
     """
+    if draw(st.integers(0, 5)) == 0:
+        # c*q^e, constants included; 1/2 * q^3 times 2 is the int polynomial q^3
+        c = draw(st.sampled_from((1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 2), 2**70)))
+        return [0] * draw(st.integers(0, 30)) + [c] + [0] * draw(st.integers(0, 2))
     bits = draw(st.integers(min_value=0, max_value=80))
     value = st.integers(min_value=-(2**bits), max_value=2**bits)
     cs = draw(st.lists(st.one_of(st.just(0), value, value), min_size=1, max_size=60))
@@ -343,7 +425,7 @@ def coefficient_lists(draw):
 @settings(deadline=None, max_examples=300)
 @given(coefficient_lists(), coefficient_lists())
 def test_product_matches_schoolbook_oracle(a, b):
-    assert (QPoly(a) * QPoly(b)).coeffs == QPoly(schoolbook_product(a, b)).coeffs
+    assert _typed((QPoly(a) * QPoly(b)).coeffs) == _typed(QPoly(schoolbook_product(a, b)).coeffs)
 
 
 def _spy(monkeypatch, name):
@@ -402,8 +484,19 @@ def test_product_path_follows_density_and_coefficient_type(monkeypatch):
         (_sparse(100, least, rng), _sparse(100, least, rng), True),
         (dense[:-1] + [Fraction(1, 3)], dense, False),
         (dense, [Fraction(1, 2)] + dense, False),
+        # a monomial operand: the other one shifted and scaled
+        ([0] * 10 + [Fraction(1, 2)], [0] * 3 + [2], False),
+        ([0] * 10 + [-1], dense, False),
+        ([0] * 3 + [Fraction(1, 2)], [2 * c for c in dense], False),
+        (dense[:-1] + [Fraction(1, 3)], [0] * 7 + [3], False),
+        # constants
+        ([1], dense, False),
+        ([Fraction(-1, 2)], dense, False),
+        ([4], [Fraction(1, 4)], False),
+        ([0], dense, False),
     ]
     for a, b, fires in cases:
         before = len(kronecker)
-        assert (QPoly(a) * QPoly(b)).coeffs == QPoly(schoolbook_product(a, b)).coeffs
+        for x, y in ((a, b), (b, a)):
+            assert _typed((QPoly(x) * QPoly(y)).coeffs) == _typed(QPoly(schoolbook_product(x, y)).coeffs), (x, y)
         assert (len(kronecker) > before) == fires, (a, b)
