@@ -26,14 +26,22 @@ QPoly products take one of three paths, chosen from the operands alone;
 nnz counts an operand's nonzero coefficients.  A monomial operand c*q^e
 (nnz = 1, constants included) makes the product the other operand scaled
 by c and shifted up by e, with no coefficient products when c = 1 and one
-when both operands are monomials.  Kronecker substitution packs each
-operand into one Python int at a fixed slot width, multiplies the two ints
-once and unpacks the signed slots; it runs when every coefficient is an
-int, the shorter operand has more than 4 coefficients and
-nnz(a) * nnz(b) >= C * (len(a) + len(b)), where C is
+when both operands are monomials.  Kronecker substitution evaluates each
+operand exactly at q = 2^(8w), one Python int each, for a slot of w bytes
+wide enough for every product coefficient and its sign; it multiplies the
+two ints once and reads the balanced base-2^(8w) digits back.  It runs
+when every coefficient is an int, the shorter operand has more than 4
+coefficients and nnz(a) * nnz(b) >= C * (len(a) + len(b)), where C is
 ``_KRONECKER_DENSITY``.  Every other product, including any with a
 Fraction coefficient, is the schoolbook double loop over nonzero
 coefficients.  All three give the same canonical tuple.
+
+:func:`matrix_product` multiplies two matrices of Scalars on the same
+signed-slot packing.  When every entry is a polynomial with int
+coefficients, it picks one slot width for the whole product, evaluates
+each entry once, forms each sum_k A[n][k] * B[k][j] as a sum of int
+products and reads its digits once; otherwise it folds Scalar products,
+which give the same canonical values.
 
 Printing: integers print bare ("5"), polynomials as canonical
 ascending-power strings ("1 + q - 2*q^3"), quotients as "num / den" with
@@ -287,38 +295,58 @@ def _unpack(data: bytes, width: int) -> tuple:
     return tuple(slots.tolist())
 
 
+# Signed slots.  A slot of ``width`` bytes holds a coefficient c with
+# |c| < 2^(k-1), k = 8 * width, so each slot keeps a sign bit and the digits
+# of a sum or product that stays inside the bound never carry into each
+# other.  Adding h = 2^(k-1) to every slot flips its top bit, so the value
+# at q = 2^k is the two's-complement packing XOR the mask M of top bits,
+# minus M; read back, the value plus M has every slot in [0, 2^k), and XOR
+# with M turns the slots back into two's complement.
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes a slot needs for coefficients of magnitude at most ``bound``."""
+    width = (bound.bit_length() + 8) // 8
+    # the array-backed sizes are 1, 2, 4 and 8 bytes
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _top_bits(n: int, width: int) -> int:
+    """The mask M of the top bit of each of n slots of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _evaluate(cs: tuple, width: int) -> int:
+    """The int coefficients cs evaluated exactly at q = 2^(8 * width)."""
+    mask = _top_bits(len(cs), width)
+    return (int.from_bytes(_pack(cs, width), "little") ^ mask) - mask
+
+
+def _digits(value: int, width: int) -> tuple:
+    """The canonical coefficient tuple whose :func:`_evaluate` is ``value``.
+
+    A nonzero top digit c_d puts |value| in (2^(kd-1), 2^(k(d+1)-1)), so the
+    bit length of |value| gives the digit count d + 1 with no trailing zero.
+    """
+    n = abs(value).bit_length() // (8 * width) + 1
+    mask = _top_bits(n, width)
+    return _unpack(((value + mask) ^ mask).to_bytes(n * width, "little"), width)
+
+
+def _magnitude(cs: tuple) -> int:
+    return max(max(cs), -min(cs))
+
+
 def _kronecker_mul(a: tuple, b: tuple) -> tuple:
     """Product of two nonzero int coefficient tuples by Kronecker substitution.
 
-    Each operand is evaluated at q = 2^k as one Python int, the two ints are
-    multiplied once, and the product's base-2^k digits are read back.  With
-    B = max|a| * max|b| * min(len(a), len(b)) bounding every product
-    coefficient, k > bit_length(B) leaves a sign bit in every slot, so the
-    digits never carry into each other.  Signed digits are handled by a bias:
-    adding h = 2^(k-1) to every slot flips its top bit, so the biased packing
-    is the two's-complement packing XOR the mask M_n = h * (2^(kn) - 1) /
-    (2^k - 1) of top bits, and the plain value is that minus M_n.  Read
-    back the same way: the product plus M_n has every slot in [0, 2^k), and
-    XOR with M_n turns the slots back into two's complement.
+    B = max|a| * max|b| * min(len(a), len(b)) bounds every product
+    coefficient, so both operands are evaluated at q = 2^k with a slot wide
+    enough for B, the two ints are multiplied once, and the digits of the
+    product are read back.
     """
-    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
-    width = (bound.bit_length() + 8) // 8
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
-    k = 8 * width
-    top = 1 << (k - 1)
-    spread = (1 << k) - 1
-
-    def top_bits(n: int) -> int:
-        return top * ((1 << (k * n)) - 1) // spread
-
-    def value(cs: tuple) -> int:
-        mask = top_bits(len(cs))
-        return (int.from_bytes(_pack(cs, width), "little") ^ mask) - mask
-
-    n = len(a) + len(b) - 1
-    mask = top_bits(n)
-    return _unpack(((value(a) * value(b) + mask) ^ mask).to_bytes(n * width, "little"), width)
+    width = _slot_width(_magnitude(a) * _magnitude(b) * min(len(a), len(b)))
+    return _digits(_evaluate(a, width) * _evaluate(b, width), width)
 
 
 QP_ZERO = QPoly._raw((0,))
@@ -534,6 +562,69 @@ def q_factorial(n: int) -> Scalar:
     return q_factorial(n - 1) * q_integer(n)
 
 
+# -- matrix products ---------------------------------------------------------
+
+def matrix_product(a_rows: list, b_rows: list) -> list[tuple]:
+    """The rows of A * B for ragged matrices of Scalars, missing entries zero.
+
+    Row n of the product is sum_k A[n][k] * B[k] over k < len(A[n]), as long
+    as the longest of those rows of B.  When every entry is a polynomial
+    with int coefficients, one slot width serves the whole product: term k
+    adds at most max|A[.][k]| * max|B[k][.]| * min(q-length) to a
+    coefficient, and the sum over k bounds them all.  Each entry of B is
+    then evaluated at q = 2^(8 * width) once, up front, and the entries of
+    a row of A once, while that row is multiplied; every sum over k is a
+    sum of int products, and its digits are read once.  Any
+    other entry -- a denominator or a Fraction coefficient -- sends the
+    whole product to the Scalar fold, which gives the same canonical values.
+    """
+    if not all(_int_polynomial(s) for row in (*a_rows, *b_rows) for s in row):
+        return _fold_product(a_rows, b_rows)
+    columns = max(map(len, a_rows), default=0)
+    a_mag, a_len = [0] * columns, [0] * columns
+    for row in a_rows:
+        for k, s in enumerate(row):
+            a_mag[k] = max(a_mag[k], _magnitude(s.num.coeffs))
+            a_len[k] = max(a_len[k], len(s.num.coeffs))
+    b_mag = [max((_magnitude(s.num.coeffs) for s in row), default=0) for row in b_rows]
+    b_len = [max((len(s.num.coeffs) for s in row), default=0) for row in b_rows]
+    bound = sum(a * b * min(la, lb) for a, la, b, lb in zip(a_mag, a_len, b_mag, b_len))
+    # every entry is packed too, including one whose partners are all zero
+    width = _slot_width(max((bound, *a_mag, *b_mag)))
+    # b_cols[j][k] is B[k][j] evaluated, zero past the end of row k
+    b_cols = [[0] * len(b_rows) for _ in range(max(map(len, b_rows), default=0))]
+    for k, row in enumerate(b_rows):
+        for j, s in enumerate(row):
+            b_cols[j][k] = _evaluate(s.num.coeffs, width)
+    out = []
+    for row in a_rows:
+        values = [_evaluate(s.num.coeffs, width) for s in row]
+        length = max(map(len, b_rows[: len(row)]), default=0)
+        out.append(tuple(_packed_scalar(sum(map(mul, values, b_cols[j])), width) for j in range(length)))
+    return out
+
+
+def _int_polynomial(s: Scalar) -> bool:
+    return s.den.coeffs == _UNIT and _INT_ONLY.issuperset(map(type, s.num.coeffs))
+
+
+def _packed_scalar(value: int, width: int) -> Scalar:
+    return Scalar._raw(QPoly._raw(_digits(value, width)), QP_ONE) if value else ZERO
+
+
+def _fold_product(a_rows: list, b_rows: list) -> list[tuple]:
+    """:func:`matrix_product` by Scalar arithmetic, entry by entry."""
+    out = []
+    for row in a_rows:
+        acc = [ZERO] * max(map(len, b_rows[: len(row)]), default=0)
+        for a, b_row in zip(row, b_rows):
+            if a:
+                for j, b in enumerate(b_row):
+                    acc[j] = acc[j] + a * b
+        out.append(tuple(acc))
+    return out
+
+
 # -- text form -------------------------------------------------------------
 
 def _term(c: Coeff, k: int) -> str:
@@ -614,8 +705,10 @@ def parse_expression(
     estimated as the base's times the exponent, would exceed
     ``_Q_DEGREE_CAP`` or ``_COEFF_BITS_CAP``, refused before it is computed;
     a product, a quotient, a step of a sum that adds a term in order, or a
-    whole sum, whose value exceeds either cap; and nesting of parentheses or
-    unary minus deeper than the recursion limit allows.
+    whole sum, whose value exceeds either cap; an integer token with more
+    digits than the interpreter reads from a string (4300 by default); and
+    nesting of parentheses or unary minus deeper than the recursion limit
+    allows.
     """
     tokens = tokenize(text)
     pos = 0
@@ -681,7 +774,10 @@ def parse_expression(
             tok = take()
             if not _is_integer(tok):
                 raise ParseError(f"integer exponent expected, got {tok!r} in {text!r}")
-            n = int(tok)
+            try:
+                n = int(tok)
+            except ValueError:
+                raise _digit_limit_error(tok) from None
             if n > _Q_DEGREE_CAP:
                 raise ParseError(f"exponent {n} exceeds cap {_Q_DEGREE_CAP} in {text!r}")
             degree, bits = size(base)
@@ -692,7 +788,11 @@ def parse_expression(
     def parse_atom():
         tok = take()
         if _is_integer(tok):
-            return from_int(int(tok))
+            try:
+                value = int(tok)
+            except ValueError:
+                raise _digit_limit_error(tok) from None
+            return from_int(value)
         if tok in atoms:
             return atoms[tok]
         if tok == "(":
@@ -712,6 +812,11 @@ def parse_expression(
     if pos != len(tokens):
         raise ParseError(f"trailing input {tokens[pos:]!r} in {text!r}")
     return value
+
+
+def _digit_limit_error(tok: str) -> ParseError:
+    """The error for an integer token past the interpreter's limit on digits read from a string."""
+    return ParseError(f"integer of {len(tok)} digits exceeds the limit of {sys.get_int_max_str_digits()} digits")
 
 
 def _add_into(acc: list, cs: tuple, negate: bool) -> None:

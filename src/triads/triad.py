@@ -12,7 +12,7 @@ drive two recurrences that are dual to each other:
     solved for phi_{k+1}, which requires i(k) != 0.
 
 The two are linked by the connection identity x^n = sum_k c[n][k]*phi_k,
-which :func:`verify_connection` checks by direct symbolic assembly.
+which :func:`verify_connection` checks as one matrix product C * Phi.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .poly import P_ONE, P_ZERO, Poly
-from .scalar import ONE, Scalar, ZERO, as_scalar, qpow
+from .poly import P_ONE, P_ZERO, Poly, x_power
+from .scalar import ONE, Scalar, ZERO, as_scalar, matrix_product, qpow
 
 SequenceRule = Callable[[int], Scalar]
 
@@ -153,24 +153,23 @@ class SuiteResult:
 
 
 def verify_connection(spec: TriadSpec, rows: int) -> SuiteResult:
-    """Assemble sum_k c[n][k]*phi_k exactly for each n and compare with x^n.
+    """Check x^n = sum_k c[n][k]*phi_k exactly for each n <= rows.
 
-    One FAIL line per row n whose residual is nonzero; one PASS line if none.
+    Row n of the matrix product C * Phi, where C is the coefficient triangle
+    and Phi[k][j] is the x^j coefficient of phi_k, is compared with x^n
+    entry by entry; the residual polynomial is built only for a row that
+    differs.  One FAIL line per row n whose residual is nonzero; one PASS
+    line if none.
     """
     table = coefficient_table(spec, rows)
     phis = dual_polynomials(spec, rows)
     report = SuiteResult(f"connection {spec.name or 'spec'}")
-    target = P_ONE
-    for n in range(rows + 1):
-        assembled = P_ZERO
-        for k, coeff in enumerate(table.row(n)):
-            if not coeff.is_zero():
-                assembled = assembled + phis[k].scale(coeff)
-        residual = assembled - target
-        if not residual.is_zero():
-            report.check(False, f"n={n}: residual {residual}")
-        if n < rows:
-            target = target.times_x()
+    for n, row in enumerate(matrix_product(table.rows, [phi.coeffs for phi in phis])):
+        target = x_power(n)
+        if row != target.coeffs:
+            residual = Poly(row) - target
+            if not residual.is_zero():
+                report.check(False, f"n={n}: residual {residual}")
     if not report.lines:
         report.check(True, f"x^n recovered for all n <= {rows}")
     return report
@@ -252,6 +251,9 @@ def load_spec(name_or_path: str) -> TriadSpec:
             obj = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read spec file {name_or_path!r}: {exc.strerror}")
+    except ValueError as exc:
+        # bad JSON, text that is not UTF-8, or an integer past the interpreter's digit limit
+        raise ValueError(f"cannot parse spec file {name_or_path!r}: {exc}") from None
     spec = spec_from_json(obj)
     if spec.name is None:
         spec = TriadSpec(spec.i_seq, spec.q_seq, spec.d_seq, path.stem)

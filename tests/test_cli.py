@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -357,6 +358,34 @@ def test_spec_that_is_not_an_object_is_usage_error(capsys, tmp_path, text):
 def test_unreadable_spec_path_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "table", "--spec", str(tmp_path), "--rows", "3")
     assert code == 2 and err.startswith("error: cannot read spec file")
+
+
+@pytest.mark.parametrize("text", ["", "{", '{"i": [' + "1" * 5001 + "]}"])
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_spec_file_that_is_not_json_names_the_file(capsys, tmp_path, command, text):
+    path = tmp_path / "broken.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--spec", str(path), "--rows", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot parse spec file {str(path)!r}: ") and err.count("\n") == 1
+
+
+def _digit_limit_error(digits: int) -> str:
+    return f"integer of {digits} digits exceeds the limit of {sys.get_int_max_str_digits()} digits\n"
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "q^" + "1" * 5000])
+def test_weights_integer_over_the_digit_limit_is_usage_error(capsys, text):
+    code, out, err = run(capsys, "konvalina", "--weights", text, "--k", "1")
+    assert (code, out, err) == (2, "", "error: bad --weights value: " + _digit_limit_error(5000))
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_spec_entry_over_the_digit_limit_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"i": ["1" * 5001, "1", "1", "1"], "q": ["1"] * 4, "d": ["0"] * 4}))
+    code, out, err = run(capsys, command, "--spec", str(path), "--rows", "3")
+    assert (code, out, err) == (2, "", "error: " + _digit_limit_error(5001))
 
 
 @pytest.mark.parametrize("mode", [("--suite", name) for name in SUITE_NAMES + ("all",)] + [("--spec", "gauss")])

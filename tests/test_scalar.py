@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -186,6 +187,14 @@ def test_coefficient_bits_cap():
             parse_scalar(text)
     with pytest.raises(ParseError, match=re.escape(f"exceeds cap {cap}")):
         parse_poly(f"({nine}*x + q)^6")
+
+
+def test_integer_tokens_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_scalar("q^" + "0" * (limit - 1) + "1") == Q
+    for text in ("7" * (limit + 1), "q^" + "1" * (limit + 1)):
+        with pytest.raises(ParseError, match=f"integer of {limit + 1} digits exceeds the limit of {limit} digits"):
+            parse_scalar(text)
 
 
 def test_parse_precedence():
@@ -500,3 +509,102 @@ def test_product_path_follows_density_and_coefficient_type(monkeypatch):
         for x, y in ((a, b), (b, a)):
             assert _typed((QPoly(x) * QPoly(y)).coeffs) == _typed(QPoly(schoolbook_product(x, y)).coeffs), (x, y)
         assert (len(kronecker) > before) == fires, (a, b)
+
+
+# -- the matrix product -------------------------------------------------------
+
+_SLOT_EDGES = [2**7 - 1, 2**7, 2**15 - 1, 2**31 - 1, 2**63 - 1, 2**64 + 3]
+
+
+@st.composite
+def matrix_entries(draw):
+    """Scalars for either product path: int polynomials with coefficients at
+    every slot boundary, zeros and constants, Fraction coefficients and
+    rational functions."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return ZERO
+    if kind == 1:
+        return as_scalar(draw(st.one_of(st.integers(-9, 9), st.sampled_from(_SLOT_EDGES))))
+    coefficient = st.one_of(st.integers(-9, 9), st.sampled_from(_SLOT_EDGES), st.sampled_from(_SLOT_EDGES).map(lambda c: -c))
+    value = Scalar(QPoly(draw(st.lists(coefficient, min_size=1, max_size=8))))
+    if kind == 4 and draw(st.integers(0, 3)) == 0:
+        return value + Fraction(1, draw(st.integers(2, 5)))
+    if kind == 5 and draw(st.integers(0, 3)) == 0:
+        return value / (Q + draw(st.integers(1, 3)))
+    return value
+
+
+@st.composite
+def ragged_matrices(draw):
+    b_rows = draw(st.lists(st.lists(matrix_entries(), max_size=6), max_size=6))
+    a_rows = draw(st.lists(st.lists(matrix_entries(), max_size=len(b_rows)), max_size=6))
+    return a_rows, b_rows
+
+
+def _scalar_fold(a_rows, b_rows):
+    out = []
+    for row in a_rows:
+        acc = [ZERO] * max([len(b_rows[k]) for k in range(len(row))] + [0])
+        for k, a in enumerate(row):
+            for j, b in enumerate(b_rows[k]):
+                acc[j] = acc[j] + a * b
+        out.append(tuple(acc))
+    return out
+
+
+def _typed_rows(rows):
+    return [[(_typed(s.num.coeffs), _typed(s.den.coeffs)) for s in row] for row in rows]
+
+
+@settings(deadline=None, max_examples=300)
+@given(ragged_matrices())
+def test_matrix_product_matches_scalar_fold(matrices):
+    a_rows, b_rows = matrices
+    assert _typed_rows(scalar.matrix_product(a_rows, b_rows)) == _typed_rows(_scalar_fold(a_rows, b_rows))
+
+
+def test_matrix_product_depth_zero():
+    assert scalar.matrix_product([[ONE]], [[ONE]]) == [(ONE,)]
+    assert scalar.matrix_product([[]], []) == [()]
+    assert scalar.matrix_product([], []) == []
+
+
+@pytest.mark.parametrize(
+    "terms, magnitude, length, width",
+    [
+        (127, 1, 1, 1),  # every coefficient of the sum is the bound 127, a signed byte's largest
+        (128, 1, 1, 2),
+        (2, 127, 1, 2),  # 2 * 127^2 = 32258, just under 2^15
+        (3, 127, 1, 4),
+        (1, 2**31 - 1, 1, 8),
+        (2, 2**31, 1, 9),
+        (3, 2**31 - 1, 5, 9),
+        (2, 2**64 + 3, 3, 17),
+    ],
+)
+def test_matrix_product_slot_widths(monkeypatch, terms, magnitude, length, width):
+    # A is one row of `terms` entries and B `terms` rows of one entry, each
+    # the polynomial with `length` coefficients +-magnitude, so the central
+    # coefficient of the one sum reaches the bound that picks the width
+    evaluations = _spy(monkeypatch, "_evaluate")
+    entry = Scalar(QPoly([magnitude] * length))
+    for sign in (1, -1):
+        a_rows = [[entry] * terms]
+        b_rows = [[entry * sign]] * terms
+        product = scalar.matrix_product(a_rows, b_rows)
+        assert product == _scalar_fold(a_rows, b_rows)
+        assert max(product[0][0].num.coeffs, key=abs) == sign * terms * magnitude**2 * length
+    assert {w for _, w in evaluations} == {width}
+    assert len(evaluations) == 2 * 2 * terms  # each entry of A and of B once per product
+
+
+def test_matrix_product_folds_any_denominator_or_fraction(monkeypatch):
+    folds = _spy(monkeypatch, "_fold_product")
+    dense = Scalar(QPoly(range(1, 9)))
+    assert scalar.matrix_product([[dense, dense]], [[dense], [dense]]) == [(dense * dense + dense * dense,)]
+    assert folds == []
+    for odd in (ONE / (ONE + Q), as_scalar(Fraction(1, 2)) * Q):
+        for a_rows, b_rows in (([[dense, odd]], [[dense], [dense]]), ([[dense, dense]], [[dense], [odd, dense]])):
+            assert scalar.matrix_product(a_rows, b_rows) == _scalar_fold(a_rows, b_rows)
+    assert len(folds) == 4
