@@ -15,9 +15,12 @@ against each other:
     with the recurrence),
   * one last-box pass, ``_last_box_rows``, adding the boxes one at a
     time; the kinds differ only in the order it updates the columns.
-    ``first_kind`` / ``second_kind`` read its last state, the ``*_table``
-    builders copy every state, and ``last_box_identity`` and
-    ``split_identity`` sum its states against the weights.
+    ``first_kind`` / ``second_kind`` read one value of its last state, and
+    ``last_box_table`` and the ``*_table`` builders copy every state, so a
+    whole table of one weight vector is one pass.  ``last_box_identity``
+    and ``split_identity`` check every k' <= k at once: they read the lhs
+    at every k' from one pass per kind, and sum the states of one more pass
+    (per side of the split) against the weights for every rhs.
 
 The pass and the enumerator are each one definition over a ring: they run
 over the weights' values with that ring's zero and one, and ``_ring``
@@ -103,8 +106,8 @@ def _enumerate(w: WeightVector, k: int, index_tuples) -> Scalar:
         return ZERO
     if k == 0:
         return ONE
-    values, zero, one = _ring(w)
-    return as_scalar(sum((math.prod(c, start=one) for c in index_tuples(values, k)), zero))
+    values, zero, _ = _ring(w)
+    return as_scalar(sum(map(math.prod, index_tuples(values, k)), zero))
 
 
 def first_kind_oracle(w: WeightVector, k: int) -> Scalar:
@@ -130,6 +133,11 @@ def _ring(w: WeightVector) -> tuple[Sequence, object, object]:
     if values is None:
         return w.weights, ZERO, ONE
     return values, 0, 1
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("first", "second"):
+        raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
 
 
 def _last_box_rows(values: Sequence, k: int, kind: str, zero, one) -> Iterator[list]:
@@ -193,8 +201,19 @@ def second_kind_table(w: WeightVector, k_max: int, n_max: int) -> list[list[Scal
         raise ValueError("table sizes must be nonnegative")
     if n_max > len(w):
         raise ValueError(f"table over {n_max} boxes needs {n_max} weights, got {len(w)}")
-    values, zero, one = _ring(w.prefix(n_max))
-    return [[as_scalar(v) for v in dp] for dp in _last_box_rows(values, k_max, "second", zero, one)]
+    return last_box_table(w.prefix(n_max), k_max, "second")
+
+
+def last_box_table(w: WeightVector, k_max: int, kind: str) -> list[list[Scalar]]:
+    """Every state of one pass: entry [n][k] is the kind's value k over the first n weights.
+
+    Rows n = 0..len(w), columns k = 0..k_max; first-kind entries with k > n are zero.
+    """
+    _check_kind(kind)
+    if k_max < 0:
+        raise ValueError("table sizes must be nonnegative")
+    values, zero, one = _ring(w)
+    return [[as_scalar(v) for v in dp] for dp in _last_box_rows(values, k_max, kind, zero, one)]
 
 
 def second_kind_triangle(w: WeightVector, n: int, k: int) -> Scalar:
@@ -223,33 +242,38 @@ def second_kind_triangle(w: WeightVector, n: int, k: int) -> Scalar:
 # -- identity checks ---------------------------------------------------------
 
 def last_box_identity(w: WeightVector, k: int, kind: str = "first") -> bool:
-    """Decomposition by the last selected box, summed over the box index.
+    """Decomposition by the last selected box, summed over the box index, at every k' <= k.
 
-    The rhs sums w_i times the value k-1 over boxes 1..i-1 (first kind) or
-    1..i (second kind), all read from one pass over the weights.  Both sides
-    are computed and compared in the weights' ring.
+    At each k' the lhs is the value k' over all the boxes, and the rhs sums
+    w_i times the value k'-1 over boxes 1..i-1 (first kind) or 1..i (second
+    kind).  One pass to column k gives the lhs at every k'; a second pass, to
+    column k-1, gives every rhs from its states.  Both sides are computed and
+    compared in the weights' ring.
     """
     if k == 0:
         return True
-    if kind not in ("first", "second"):
-        raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
+    _check_kind(kind)
     if k < 0:
         return True
     values, zero, one = _ring(w)
-    lhs = _last_row(values, k, kind, zero, one)[k]
+    lhs = _last_row(values, k, kind, zero, one)
     states = _last_box_rows(values, k - 1, kind, zero, one)
     if kind == "second":
         next(states)
-    rhs = zero
+    # rhs[j] is the rhs at k' = j + 1
+    rhs = [zero] * k
     for wi, dp in zip(values, states):
-        rhs = rhs + dp[k - 1] * wi
-    return lhs == rhs
+        for j in range(k):
+            rhs[j] = rhs[j] + dp[j] * wi
+    return lhs[1:] == rhs
 
 
 def split_identity(w: WeightVector, split: int, k: int) -> bool:
-    """Vandermonde-style splitting across a prefix/tail cut, both kinds.
+    """Vandermonde-style splitting across a prefix/tail cut, both kinds, at every k' <= k.
 
-    Both sides are computed and compared in the ring of the whole vector.
+    Per kind, one pass over the whole vector gives the lhs at every k', and
+    one pass over each side of the cut gives every rhs.  Both sides are
+    computed and compared in the ring of the whole vector.
     """
     if not 0 <= split <= len(w):
         raise ValueError(f"split {split} outside 0..{len(w)}")
@@ -257,15 +281,16 @@ def split_identity(w: WeightVector, split: int, k: int) -> bool:
         return True
     values, zero, one = _ring(w)
     for kind in ("first", "second"):
-        lhs = _last_row(values, k, kind, zero, one)[k]
+        lhs = _last_row(values, k, kind, zero, one)
         left = _last_row(values[:split], k, kind, zero, one)
         right = _last_row(values[split:], k, kind, zero, one)
-        rhs = zero
-        for i in range(k + 1):
-            if left[i]:
-                rhs = rhs + left[i] * right[k - i]
-        if lhs != rhs:
-            return False
+        for j in range(k + 1):
+            rhs = zero
+            for i in range(j + 1):
+                if left[i]:
+                    rhs = rhs + left[i] * right[j - i]
+            if lhs[j] != rhs:
+                return False
     return True
 
 

@@ -6,7 +6,11 @@ Sums and compositions are then pointwise on eigenvalues.  The weights of an
 operator-valued array are such operators themselves, so the array's entry
 collapses, monomial by monomial, to a scalar weighted-coefficient
 evaluation over the weights' eigenvalues on x^m -- no operator-sum
-expansion ever happens.
+expansion ever happens.  Monomials that see the same eigenvalues share one
+evaluation.  A single entry (``konkwa_first_kind``, ``konkwa_second_kind``
+and the named arrays) runs one last-box pass to its column;
+``konkwa_table`` gives every entry over every prefix of the weights, rows
+and columns at once, from one pass per distinct eigenvalue vector.
 
 The generating operator is :func:`qhat`: its eigenvalue on x^m is
 
@@ -16,7 +20,8 @@ the ratio shifted so that the qfact sequence yields the constant q on
 every monomial (the unshifted ratio is 0/0 at m = 0 under any indexing;
 we set eigen[0] = eigen[1], which continues that constant).  The three
 named arrays take that operator, built once by the caller, and weight
-their boxes with its powers or its geometric sums.
+their boxes with its powers or its geometric sums; each is a reindexing of
+one such table (see ``suites.suite_operator``).
 """
 
 from __future__ import annotations
@@ -154,21 +159,26 @@ def n_qhat_entries(base: DiagOp, n: int) -> OpWeightVector:
     return OpWeightVector(base.depth, tuple(accumulate(qhat_power_entries(base, n).entries)))
 
 
-def _konkwa(ow: OpWeightVector, k: int, value_fn) -> DiagOp:
-    """Per-monomial scalar evaluation of an operator-valued coefficient.
+def _per_monomial(ow: OpWeightVector, evaluate: Callable[[WeightVector], object]) -> list:
+    """``evaluate`` of the plain weight vector seen by each monomial x^0..x^depth.
 
-    The per-call cache is keyed on the entries' eigenvalues at x^m, so the
-    recurrence runs once per distinct weight vector, not once per monomial.
+    The per-call cache is keyed on the entries' eigenvalues at x^m, so
+    ``evaluate`` runs once per distinct weight vector, not once per monomial.
     """
-    cache: dict[WeightVector, Scalar] = {}
-    eigen = []
+    cache: dict[WeightVector, object] = {}
+    out = []
     for m in range(ow.depth + 1):
         weights = ow.scalar_weights(m)
         value = cache.get(weights)
         if value is None:
-            value = cache[weights] = value_fn(weights, k)
-        eigen.append(value)
-    return DiagOp(eigen)
+            value = cache[weights] = evaluate(weights)
+        out.append(value)
+    return out
+
+
+def _konkwa(ow: OpWeightVector, k: int, value_fn) -> DiagOp:
+    """Per-monomial scalar evaluation of an operator-valued coefficient."""
+    return DiagOp(_per_monomial(ow, lambda weights: value_fn(weights, k)))
 
 
 def konkwa_first_kind(ow: OpWeightVector, k: int) -> DiagOp:
@@ -179,6 +189,18 @@ def konkwa_first_kind(ow: OpWeightVector, k: int) -> DiagOp:
 def konkwa_second_kind(ow: OpWeightVector, k: int) -> DiagOp:
     """Operator-valued second-kind coefficient over operator weights."""
     return _konkwa(ow, k, konvalina.second_kind)
+
+
+def konkwa_table(ow: OpWeightVector, k_max: int, kind: str) -> list[list[DiagOp]]:
+    """Every operator-valued coefficient of the kind over a prefix of the entries.
+
+    Entry [n][k] is the kind's coefficient k over the first n entries, for
+    rows n = 0..len(ow) and columns k = 0..k_max.  Each distinct weight
+    vector seen by a monomial runs one last-box pass, whose states give that
+    monomial's eigenvalue in every entry.
+    """
+    tables = _per_monomial(ow, lambda weights: konvalina.last_box_table(weights, k_max, kind))
+    return [[DiagOp(eigen) for eigen in zip(*(table[n] for table in tables))] for n in range(len(ow) + 1)]
 
 
 # -- the three named operator arrays -----------------------------------------

@@ -38,16 +38,7 @@ from .konvalina import (
     second_kind_table,
     second_kind_triangle,
 )
-from .operators import (
-    binomial_operator,
-    konkwa_first_kind,
-    konkwa_second_kind,
-    n_qhat_entries,
-    qhat,
-    qhat_power_entries,
-    stirling1_operator,
-    stirling2_operator,
-)
+from .operators import konkwa_table, n_qhat_entries, qhat, qhat_power_entries
 from .psi import get_psi
 from .psi_extensions import psi_stirling_first, psi_stirling_second
 from .scalar import ZERO, as_scalar, q_factorial, qpow
@@ -137,32 +128,27 @@ def suite_propositions(seed: int = DEFAULT_SEED) -> SuiteResult:
     count = 100
     rng = random.Random(seed)
     last_ok = split_ok = True
+    # each identity call checks every k' <= k from shared passes
     for _ in range(count):
         w = _random_weights(rng)
-        for k in range(len(w) + 2):
-            last_ok = last_ok and konvalina.last_box_identity(w, k, "first")
-            last_ok = last_ok and konvalina.last_box_identity(w, k, "second")
+        last_ok = last_ok and konvalina.last_box_identity(w, len(w) + 1, "first")
+        last_ok = last_ok and konvalina.last_box_identity(w, len(w) + 1, "second")
         for split in range(len(w) + 1):
-            for k in range(len(w) + 1):
-                split_ok = split_ok and konvalina.split_identity(w, split, k)
+            split_ok = split_ok and konvalina.split_identity(w, split, len(w))
     result.check(last_ok, f"last-box decomposition, both kinds, {count} random vectors")
     result.check(split_ok, f"split identity, both kinds, {count} random vectors")
 
     wq = qpowers(5)
-    sym_ok = True
-    for k in range(7):
-        sym_ok = sym_ok and konvalina.last_box_identity(wq, k, "first")
-        sym_ok = sym_ok and konvalina.last_box_identity(wq, k, "second")
-        for split in range(len(wq) + 1):
-            sym_ok = sym_ok and konvalina.split_identity(wq, split, k)
+    sym_ok = konvalina.last_box_identity(wq, 6, "first") and konvalina.last_box_identity(wq, 6, "second")
+    for split in range(len(wq) + 1):
+        sym_ok = sym_ok and konvalina.split_identity(wq, split, 6)
     result.check(sym_ok, "last-box and split identities on (1, q, q^2, q^3, q^4)")
 
     cauchy_ok = True
     for total in range(13):
         w = ones(total)
         for split in range(total + 1):
-            for k in range(total + 1):
-                cauchy_ok = cauchy_ok and konvalina.split_identity(w, split, k)
+            cauchy_ok = cauchy_ok and konvalina.split_identity(w, split, total)
         for k in range(total + 1):
             cauchy_ok = cauchy_ok and konvalina.first_kind(w, k) == as_scalar(math.comb(total, k))
     result.check(cauchy_ok, "Cauchy identity on unit weights, n+m <= 12 (anchored to math.comb)")
@@ -248,13 +234,17 @@ def suite_operator() -> SuiteResult:
     qf = get_psi("qfact")
     qf_base = qhat(qf, depth)
 
+    # each array is one table of a kind over its entries, read by the array's reindexing
+    binom = konkwa_table(qhat_power_entries(qf_base, limit + 1), limit, "second")
+    stirling2 = konkwa_table(n_qhat_entries(qf_base, limit), limit, "second")
+    stirling1 = konkwa_table(n_qhat_entries(qf_base, limit - 1), limit, "first")
     diag_ok = qarray_ok = classical_ok = True
     for n in range(limit + 1):
         for k in range(n + 1):
             checks = (
-                (binomial_operator(qf_base, n, k), _q_binomial_by_factorials(n, k), math.comb(n, k)),
-                (stirling2_operator(qf_base, n, k), psi_stirling_second(qf, n, k), _int_stirling2(n, k)),
-                (stirling1_operator(qf_base, n, k), psi_stirling_first(qf, n, k), _int_stirling1(n, k)),
+                (binom[n - k + 1][k], _q_binomial_by_factorials(n, k), math.comb(n, k)),
+                (stirling2[k][n - k], psi_stirling_second(qf, n, k), _int_stirling2(n, k)),
+                (stirling1[max(n - 1, 0)][n - k], psi_stirling_first(qf, n, k), _int_stirling1(n, k)),
             )
             for op, q_value, classical in checks:
                 diag_ok = diag_ok and all(v == op.eigen[0] for v in op.eigen)
@@ -268,10 +258,8 @@ def suite_operator() -> SuiteResult:
     for base, top in ((qf_base, limit), (qhat(get_psi("fibonacci"), depth), 6)):
         for entries_of in (n_qhat_entries, qhat_power_entries):
             full = entries_of(base, top)
-            # c[n][k] and s[n][k]: both kinds over the first n entries, each computed once
-            prefixes = [full.prefix(n) for n in range(top + 1)]
-            c = [[konkwa_first_kind(ow, k) for k in range(top + 1)] for ow in prefixes]
-            s = [[konkwa_second_kind(ow, k) for k in range(top + 1)] for ow in prefixes]
+            # c[n][k] and s[n][k]: both kinds over the first n entries
+            c, s = konkwa_table(full, top, "first"), konkwa_table(full, top, "second")
             for n in range(1, top + 1):
                 wn = full.entries[n - 1]
                 for k in range(1, top + 1):

@@ -211,9 +211,16 @@ _SEQUENCE_RULES: dict[str, Callable[[dict], SequenceRule]] = {
 }
 
 
-def _sequence_from_json(obj) -> SequenceRule:
+def _sequence_from_json(obj, where: str) -> SequenceRule:
     if isinstance(obj, list):
-        return _sequence([as_scalar(str(v)) for v in obj])
+        values = []
+        try:
+            for v in obj:
+                values.append(as_scalar(str(v)))
+        except (ValueError, ArithmeticError) as exc:
+            # the entry that failed is the next one after those parsed
+            raise ValueError(f"{where}, entry {len(values)}: {exc}") from None
+        return _sequence(values)
     if isinstance(obj, dict):
         rule = obj.get("rule")
         if rule not in _SEQUENCE_RULES:
@@ -222,19 +229,19 @@ def _sequence_from_json(obj) -> SequenceRule:
     raise ValueError("sequence must be a list of scalar strings or a rule object")
 
 
-def spec_from_json(obj: dict) -> TriadSpec:
-    """Decode {"name": ..., "i": ..., "q": ..., "d": ...} into a TriadSpec."""
+def spec_from_json(obj: dict, source: str = "spec") -> TriadSpec:
+    """Decode {"name": ..., "i": ..., "q": ..., "d": ...} into a TriadSpec.
+
+    An entry that fails to parse is named in the error as
+    "<source>, sequence <key>, entry <index>: <reason>".
+    """
     if not isinstance(obj, dict):
         raise ValueError("triad spec must be a JSON object with keys i, q, d")
     missing = [key for key in ("i", "q", "d") if key not in obj]
     if missing:
         raise ValueError(f"triad spec is missing sequences: {', '.join(missing)}")
-    return TriadSpec(
-        _sequence_from_json(obj["i"]),
-        _sequence_from_json(obj["q"]),
-        _sequence_from_json(obj["d"]),
-        obj.get("name"),
-    )
+    i_seq, q_seq, d_seq = (_sequence_from_json(obj[key], f"{source}, sequence {key}") for key in ("i", "q", "d"))
+    return TriadSpec(i_seq, q_seq, d_seq, obj.get("name"))
 
 
 def load_spec(name_or_path: str) -> TriadSpec:
@@ -254,7 +261,7 @@ def load_spec(name_or_path: str) -> TriadSpec:
     except ValueError as exc:
         # bad JSON, text that is not UTF-8, or an integer past the interpreter's digit limit
         raise ValueError(f"cannot parse spec file {name_or_path!r}: {exc}") from None
-    spec = spec_from_json(obj)
+    spec = spec_from_json(obj, f"spec file {name_or_path!r}")
     if spec.name is None:
         spec = TriadSpec(spec.i_seq, spec.q_seq, spec.d_seq, path.stem)
     return spec

@@ -385,7 +385,22 @@ def test_spec_entry_over_the_digit_limit_is_usage_error(capsys, tmp_path, comman
     path = tmp_path / "long.json"
     path.write_text(json.dumps({"i": ["1" * 5001, "1", "1", "1"], "q": ["1"] * 4, "d": ["0"] * 4}))
     code, out, err = run(capsys, command, "--spec", str(path), "--rows", "3")
-    assert (code, out, err) == (2, "", "error: " + _digit_limit_error(5001))
+    expected = f"error: spec file {str(path)!r}, sequence i, entry 0: " + _digit_limit_error(5001)
+    assert (code, out, err) == (2, "", expected)
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize(
+    "entry, reason",
+    [("q^" + "1" * 5001, _digit_limit_error(5001)), ("1/(q-q)", "division by zero in Q(q)\n"), ("q +", None)],
+)
+def test_spec_entry_that_fails_to_parse_is_named(capsys, tmp_path, command, entry, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"i": ["1"] * 4, "q": ["1"] * 4, "d": ["0", "0", entry, "0"]}))
+    code, out, err = run(capsys, command, "--spec", str(path), "--rows", "3")
+    prefix = f"error: spec file {str(path)!r}, sequence d, entry 2: "
+    assert code == 2 and out == "" and err.startswith(prefix) and err.count("\n") == 1
+    assert reason is None or err == prefix + reason
 
 
 @pytest.mark.parametrize("mode", [("--suite", name) for name in SUITE_NAMES + ("all",)] + [("--spec", "gauss")])

@@ -17,6 +17,7 @@ from triads.konvalina import (
     first_kind_oracle,
     first_kind_table,
     last_box_identity,
+    last_box_table,
     naturals,
     ones,
     q_binomial,
@@ -172,10 +173,13 @@ def test_recurrence_rows_match_enumeration(values, k):
         assert [as_scalar(v) for v in row] == [oracle(w, j) for j in range(k + 1)]
     n = len(w)
     first_rows, second_rows = first_kind_table(w, n), second_kind_table(w, k, n)
+    first_states = last_box_table(w, k, "first")
+    assert second_rows == last_box_table(w, k, "second")
     for m in range(n + 1):
         prefix = w.prefix(m)
         assert first_rows[m] == [first_kind_oracle(prefix, j) for j in range(m + 1)]
         assert second_rows[m] == [second_kind_oracle(prefix, j) for j in range(k + 1)]
+        assert first_states[m] == [first_kind_oracle(prefix, j) for j in range(k + 1)]
     assert last_box_identity(w, k, "first")
     assert last_box_identity(w, k, "second")
 
@@ -249,6 +253,66 @@ def test_identities_fail_on_a_perturbed_row(monkeypatch, w):
     assert not last_box_identity(w, k, "first")
     assert not last_box_identity(w, k, "second")
     assert not split_identity(w, 2, k)
+
+
+def _perturb_last_state(monkeypatch, n, column):
+    """Add one at ``column`` of the last state of every pass over all n weights."""
+    real = konvalina._last_box_rows
+
+    def perturbed(values, cols, kind, zero, one):
+        for i, dp in enumerate(real(values, cols, kind, zero, one)):
+            if (i, len(values)) == (n, n) and column <= cols:
+                dp = dp[:]
+                dp[column] = dp[column] + one
+            yield dp
+
+    monkeypatch.setattr(konvalina, "_last_box_rows", perturbed)
+
+
+@pytest.mark.parametrize("column", [1, 2, 3])
+def test_identities_fail_on_a_perturbed_column_below_k(monkeypatch, column):
+    # One call checks every k' <= k: a fault at any column 1..k of the value
+    # over all the weights makes both identities report False.
+    w, k = WeightVector.of([2, -1, 3, 5]), 3
+    _perturb_last_state(monkeypatch, len(w), column)
+    assert not last_box_identity(w, k, "first")
+    assert not last_box_identity(w, k, "second")
+    assert not split_identity(w, 2, k)
+
+
+def _last_box_at(w, j, kind):
+    """The last-box identity at k' = j alone, from the kind's values on prefixes."""
+    if j == 0:
+        return True
+    value, shift = (first_kind, 0) if kind == "first" else (second_kind, 1)
+    rhs = sum((w.weights[i - 1] * value(w.prefix(i - 1 + shift), j - 1) for i in range(1, len(w) + 1)), ZERO)
+    return value(w, j) == rhs
+
+
+def _split_at(w, split, j):
+    """The split identity at k' = j alone, both kinds."""
+    left, right = w.prefix(split), WeightVector(w.weights[split:])
+    return all(
+        value(w, j) == sum((value(left, i) * value(right, j - i) for i in range(j + 1)), ZERO)
+        for value in (first_kind, second_kind)
+    )
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(weight_values, max_size=5), st.integers(0, 6), st.data())
+def test_identities_at_every_k_match_a_per_k_reference(values, k, data):
+    # With no fault both sides hold; with one entry of the value over all the
+    # weights perturbed (column -1: none), each identity call must report
+    # exactly what the per-k' references report for k' = 0..k.
+    w = WeightVector.of(values)
+    split = data.draw(st.integers(0, len(w)), label="split")
+    column = data.draw(st.integers(-1, len(w)), label="column")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if column >= 0:
+            _perturb_last_state(monkeypatch, len(w), column)
+        for kind in ("first", "second"):
+            assert last_box_identity(w, k, kind) == all(_last_box_at(w, j, kind) for j in range(k + 1))
+        assert split_identity(w, split, k) == all(_split_at(w, split, j) for j in range(k + 1))
 
 
 def test_binomial_and_q_binomial_helpers():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from triads import operators, suites
+from triads import konvalina, operators, suites
 from triads.konvalina import WeightVector, first_kind, second_kind
 from triads.operators import (
     _konkwa,
@@ -11,6 +11,7 @@ from triads.operators import (
     binomial_operator,
     konkwa_first_kind,
     konkwa_second_kind,
+    konkwa_table,
     n_qhat,
     n_qhat_entries,
     qhat,
@@ -176,6 +177,41 @@ def test_konkwa_eigenvalues_match_uncached_scalar_evaluation(psi_name):
                 weights = ow.scalar_weights(m)
                 assert first.eigen[m] == first_kind(weights, k)
                 assert second.eigen[m] == second_kind(weights, k)
+
+
+@pytest.mark.parametrize("psi_name", ["qfact", "classical", "fibonacci"])
+def test_konkwa_table_entries_are_scalar_evaluations_of_each_prefix(psi_name):
+    base = qhat(get_psi(psi_name), 7)
+    for entries_of in (n_qhat_entries, qhat_power_entries):
+        ow = entries_of(base, 5)
+        for kind, value_fn in (("first", first_kind), ("second", second_kind)):
+            table = konkwa_table(ow, 6, kind)
+            assert len(table) == len(ow) + 1 and all(len(row) == 7 for row in table)
+            for n, row in enumerate(table):
+                for k, op in enumerate(row):
+                    assert op.eigen == tuple(value_fn(ow.prefix(n).scalar_weights(m), k) for m in range(8))
+
+
+def test_konkwa_table_runs_one_pass_per_distinct_eigenvalue_vector(monkeypatch):
+    passes = []
+    real = konvalina._last_box_rows
+
+    def counted(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(konvalina, "_last_box_rows", counted)
+    # qhat(fibonacci) has eigenvalues 0, 0, 1, 1, 4/3, ... on x^0..x^7: 6 distinct
+    for psi_name, expected in (("qfact", 1), ("fibonacci", 6)):
+        ow = n_qhat_entries(qhat(get_psi(psi_name), 7), 4)
+        del passes[:]
+        konkwa_table(ow, 3, "second")
+        assert len(passes) == len({ow.scalar_weights(m) for m in range(8)}) == expected
+
+
+def test_konkwa_table_rejects_an_unknown_kind():
+    with pytest.raises(ValueError):
+        konkwa_table(n_qhat_entries(qhat(get_psi("qfact"), 2), 2), 2, "third")
 
 
 def test_entries_are_powers_and_geometric_sums():

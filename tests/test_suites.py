@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from triads import families, operators, suites
+from triads import families, konvalina, operators, suites
+from triads.psi import get_psi
 from triads.suites import SUITE_NAMES, SUITE_RUNNERS
 
 
@@ -28,11 +29,32 @@ def _counting(monkeypatch, module, name):
 
 
 def test_operator_suite_computes_each_konkwa_value_once(monkeypatch):
-    calls = _counting(monkeypatch, operators, "_konkwa")
+    passes = _counting(monkeypatch, konvalina, "_last_box_rows")
+    per_table = []
+    real = suites.konkwa_table
+
+    def counted(ow, k_max, kind):
+        before = len(passes)
+        table = real(ow, k_max, kind)
+        per_table.append(len(passes) - before)
+        return table
+
+    monkeypatch.setattr(suites, "konkwa_table", counted)
     assert suites.suite_operator().ok
-    # 198 array entries, then per sequence and entry builder one first-kind
-    # and one second-kind table of (top + 1)^2 values: 2 * 2 * (11^2 + 7^2)
-    assert len(calls) == 198 + 4 * (11**2 + 7**2) == 878
+    # One last-box pass per distinct eigenvalue vector per table.  Over
+    # qhat(qfact) every monomial sees the same vector: the three array tables
+    # and the four qfact shape tables take one pass each.  Over qhat(fibonacci)
+    # both shape entry vectors see 11 distinct vectors, once per kind.
+    fib = operators.qhat(get_psi("fibonacci"), 12)
+    distinct = [
+        len({full.scalar_weights(m) for m in range(fib.depth + 1)})
+        for full in (operators.n_qhat_entries(fib, 6), operators.qhat_power_entries(fib, 6))
+    ]
+    assert distinct == [11, 11]
+    assert per_table == [1] * 7 + [11] * 4
+    # every other pass is a scalar q-array reference value: one pass for each
+    # psi_stirling value but the 10 first-kind zeros of column 0, 66 + 56
+    assert len(passes) == sum(per_table) + 122
 
 
 def test_oracle_suite_enumerates_each_second_kind_value_once(monkeypatch):
@@ -70,13 +92,17 @@ def test_triangle_fault_fails_only_the_triangle_line(monkeypatch):
 
 
 def test_second_kind_operator_fault_fails_only_the_shape_line(monkeypatch):
-    real = suites.konkwa_second_kind
+    real = suites.konkwa_table
+    # the second-kind shape table over the geometric sums of qhat(fibonacci)
+    target = operators.n_qhat_entries(operators.qhat(get_psi("fibonacci"), 12), 6)
 
-    def fault(ow, k):
-        value = real(ow, k)
-        return value + value if (len(ow), k) == (2, 1) else value
+    def fault(ow, k_max, kind):
+        table = real(ow, k_max, kind)
+        if (ow, kind) == (target, "second"):
+            table[2][1] = table[2][1] + table[2][1]
+        return table
 
-    failed = _failed_by(lambda: monkeypatch.setattr(suites, "konkwa_second_kind", fault), suites.suite_operator)
+    failed = _failed_by(lambda: monkeypatch.setattr(suites, "konkwa_table", fault), suites.suite_operator)
     assert failed == {"two-term recurrence shapes hold as eigenvalue identities, n,k <= 10"}
 
 
