@@ -27,7 +27,7 @@ from .konvalina import WEIGHT_RULES, WeightVector, first_kind, first_kind_table,
 from .operators import OPERATOR_ARRAYS, qhat
 from .poly import parse_poly
 from .psi import PSI_NAMES, get_psi
-from .psi_extensions import psi_stirling_first, psi_stirling_second
+from .psi_extensions import psi_stirling_table
 from .scalar import ParseError, PoleError, Scalar, as_scalar
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
 from .triad import SuiteResult, coefficient_table, load_spec, verify_connection, verify_degrees
@@ -92,9 +92,8 @@ def _cmd_table(args) -> int:
     if args.family in ("psi-stirling1", "psi-stirling2"):
         psi_name = "qfact" if args.psi is None else args.psi
         psi = get_psi(psi_name)
-        value = psi_stirling_first if args.family == "psi-stirling1" else psi_stirling_second
-        rows = [[value(psi, n, k) for k in range(n + 1)] for n in range(args.rows + 1)]
-        _emit_table(args, rows, "family", args.family, psi_name=psi_name)
+        kind = "first" if args.family == "psi-stirling1" else "second"
+        _emit_table(args, psi_stirling_table(psi, args.rows, kind), "family", args.family, psi_name=psi_name)
         return 0
     if args.psi is not None:
         raise CliError("--psi is read only by the psi-stirling1 and psi-stirling2 families")

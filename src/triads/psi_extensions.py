@@ -16,7 +16,7 @@ factor.
 
 from __future__ import annotations
 
-from .konvalina import WeightVector, check_triangle, first_kind, second_kind
+from .konvalina import WeightVector, check_triangle, first_kind, last_box_table, second_kind
 from .psi import PsiSequence, n_psi
 from .scalar import Scalar, qpow
 
@@ -36,6 +36,21 @@ def psi_stirling_second(psi: PsiSequence, n: int, k: int) -> Scalar:
     """Deformed Stirling triangle of the second kind."""
     check_triangle(n, k)
     return second_kind(psi_weights(psi, k), n - k)
+
+
+def psi_stirling_table(psi: PsiSequence, rows: int, kind: str) -> list[list[Scalar]]:
+    """Rows n = 0..rows of the deformed Stirling triangle of the kind, from one last-box pass.
+
+    Entry [n][k], k <= n, is psi_stirling_first(psi, n, k) for kind "first":
+    state [max(n-1, 0)][n-k] of the pass over (1_psi .. (rows-1)_psi); and
+    psi_stirling_second(psi, n, k) for kind "second": state [k][n-k] of the
+    pass over (1_psi .. rows_psi).
+    """
+    if kind == "first":
+        states = last_box_table(psi_weights(psi, rows - 1), rows, kind)
+        return [[states[max(n - 1, 0)][n - k] for k in range(n + 1)] for n in range(rows + 1)]
+    states = last_box_table(psi_weights(psi, rows), rows, kind)
+    return [[states[k][n - k] for k in range(n + 1)] for n in range(rows + 1)]
 
 
 def comtet_transform(k: int, value: Scalar) -> Scalar:

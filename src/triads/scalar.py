@@ -47,13 +47,16 @@ Printing: integers print bare ("5"), polynomials as canonical
 ascending-power strings ("1 + q - 2*q^3"), quotients as "num / den" with
 parentheses around any part containing spaces.  :func:`parse_scalar` reads
 the same grammar back (signed rational coefficients, q^k powers, the four
-arithmetic operators, parentheses), so ``parse_scalar(str(s)) == s``.  A
-sum's terms over the unit denominator, such as the printed monomials c*q^k,
-are added with their signs into one coefficient list in place, so parsing
-a printed polynomial takes a bounded number of Python steps per term.  The
-parser refuses, with :class:`ParseError`, any exponent or value whose
-q-degree exceeds ``_Q_DEGREE_CAP`` or whose coefficients are wider than
-``_COEFF_BITS_CAP`` bits, so no text builds an unbounded QPoly.
+arithmetic operators, parentheses), so ``parse_scalar(str(s)) == s``.  In a
+sum of Scalars, each term after the first that is printed as c, q, q^k,
+c*q or c*q^k is read straight off the tokens: its signed coefficient goes
+into one coefficient list at index k, with no Scalar, power or product
+built.  The sum's other terms over the unit denominator are added into the
+same list in place, so parsing a printed polynomial takes a bounded number
+of Python steps per term.  The parser refuses, with :class:`ParseError`,
+any exponent or value whose q-degree exceeds ``_Q_DEGREE_CAP`` or whose
+coefficients are wider than ``_COEFF_BITS_CAP`` bits, so no text builds an
+unbounded QPoly.
 """
 
 from __future__ import annotations
@@ -694,11 +697,16 @@ def parse_expression(
     numerator and denominator in it; a Fraction is as wide as the wider of
     its numerator and denominator.
 
-    A sum adds its terms after the first that are Scalars over the unit
-    denominator into one coefficient list in place, each with its sign, and
-    adds that polynomial to the rest of the sum at the end.  Every other
-    term -- a Scalar with a denominator, or a value of another type, such as
-    ``Poly`` -- is added to the running sum in order.
+    A sum whose first term is a Scalar reads each later term printed as the
+    integer c, q, q^e, c*q or c*q^e, and followed by "+", "-", ")" or the
+    end, straight off the tokens: c goes into one coefficient list at index
+    e, with its sign.  Its other later terms that are Scalars over the unit
+    denominator are added into the same list in place, and that polynomial
+    is added to the rest of the sum at the end.  Every other term -- a
+    Scalar with a denominator, or a value of another type, such as ``Poly``
+    -- is added to the running sum in order.  A term that the reader
+    declines, such as 1/2*q^3, or one over a cap, is left to the general
+    path, which reads it or raises its error.
 
     These are :class:`ParseError`, like any other bad input: an exponent over
     ``_Q_DEGREE_CAP``; a power whose q-degree, or whose coefficient width
@@ -730,20 +738,68 @@ def parse_expression(
         if bits > _COEFF_BITS_CAP:
             raise ParseError(f"coefficient of {bits} bits exceeds cap {_COEFF_BITS_CAP} in {text!r}")
 
+    def printed_term() -> tuple[int, int] | None:
+        """Read the term at pos printed as c, q, q^e, c*q or c*q^e into (c, e).
+
+        The term must be followed by "+", "-", ")" or the end.  Anything
+        else is left unread, for ``parse_product`` to read or refuse: an
+        integer past the digit limit, a coefficient or exponent over its
+        cap, a "^" with no integer after it, or a term that goes on with
+        "*", "/" or "^".
+        """
+        nonlocal pos
+        i, end, c, e = pos, len(tokens), 1, 1
+        if i < end and _is_integer(tokens[i]):
+            try:
+                c = int(tokens[i])
+            except ValueError:
+                return None
+            if c.bit_length() > _COEFF_BITS_CAP:
+                return None
+            i += 1
+            if i < end and tokens[i] == "*":
+                i += 1
+            else:
+                e = 0
+        if e:
+            if i == end or tokens[i] != "q":
+                return None
+            i += 1
+            if i < end and tokens[i] == "^":
+                i += 1
+                if i == end or not _is_integer(tokens[i]):
+                    return None
+                try:
+                    e = int(tokens[i])
+                except ValueError:
+                    return None
+                if e > _Q_DEGREE_CAP:
+                    return None
+                i += 1
+        if i < end and tokens[i] not in ("+", "-", ")"):
+            return None
+        pos = i
+        return c, e
+
     def parse_sum():
         value = parse_product()
-        coeffs = None  # the q-polynomial terms after the first, summed in place
+        coeffs = []  # the q-polynomial terms after the first, summed in place
+        printed = value.__class__ is Scalar
         while peek() in ("+", "-"):
             negate = take() == "-"
+            if printed and (read := printed_term()) is not None:
+                c, e = read
+                if len(coeffs) <= e:
+                    coeffs.extend(repeat(0, e + 1 - len(coeffs)))
+                coeffs[e] = coeffs[e] - c if negate else coeffs[e] + c
+                continue
             term = parse_product()
             if term.__class__ is Scalar and term.den.coeffs == _UNIT:
-                if coeffs is None:
-                    coeffs = [0]
                 _add_into(coeffs, term.num.coeffs, negate)
             else:
                 value = value - term if negate else value + term
                 check(*size(value))
-        if coeffs is not None:
+        if coeffs:
             value = value + Scalar._raw(QPoly(coeffs), QP_ONE)
             check(*size(value))
         return value
@@ -823,17 +879,13 @@ def _add_into(acc: list, cs: tuple, negate: bool) -> None:
     """Add the coefficients cs, negated if ``negate``, into the list acc in place."""
     if len(acc) < len(cs):
         acc.extend(repeat(0, len(cs) - len(acc)))
-    k = len(cs) - 1
-    if cs.count(0) == k:
-        acc[k] = acc[k] - cs[k] if negate else acc[k] + cs[k]
-    else:
-        acc[: k + 1] = map(sub if negate else add, acc, cs)
+    acc[: len(cs)] = map(sub if negate else add, acc, cs)
 
 
 def _coeff_bits(cs: tuple) -> int:
     """The largest bit length of a numerator or denominator among the coefficients cs."""
     if cs.count(0) == len(cs) - 1:
-        cs = cs[-1:]  # a monomial, such as every c*q^k a printed polynomial is read as
+        cs = cs[-1:]  # a monomial, such as the product c*q^k
     # as in QPoly.__mul__: the sum is an int exactly when every entry is
     if sum(cs).__class__ is int:
         return max(max(cs), -min(cs)).bit_length()

@@ -40,7 +40,7 @@ from .konvalina import (
 )
 from .operators import konkwa_table, n_qhat_entries, qhat, qhat_power_entries
 from .psi import get_psi
-from .psi_extensions import psi_stirling_first, psi_stirling_second
+from .psi_extensions import psi_stirling_table
 from .scalar import ZERO, as_scalar, q_factorial, qpow
 from .triad import BUILTIN_SPECS, SuiteResult, coefficient_table, gauss_spec, verify_connection, verify_degrees
 
@@ -238,13 +238,16 @@ def suite_operator() -> SuiteResult:
     binom = konkwa_table(qhat_power_entries(qf_base, limit + 1), limit, "second")
     stirling2 = konkwa_table(n_qhat_entries(qf_base, limit), limit, "second")
     stirling1 = konkwa_table(n_qhat_entries(qf_base, limit - 1), limit, "first")
+    # the scalar q-arrays they are checked against: one pass per kind
+    q_stirling2 = psi_stirling_table(qf, limit, "second")
+    q_stirling1 = psi_stirling_table(qf, limit, "first")
     diag_ok = qarray_ok = classical_ok = True
     for n in range(limit + 1):
         for k in range(n + 1):
             checks = (
                 (binom[n - k + 1][k], _q_binomial_by_factorials(n, k), math.comb(n, k)),
-                (stirling2[k][n - k], psi_stirling_second(qf, n, k), _int_stirling2(n, k)),
-                (stirling1[max(n - 1, 0)][n - k], psi_stirling_first(qf, n, k), _int_stirling1(n, k)),
+                (stirling2[k][n - k], q_stirling2[n][k], _int_stirling2(n, k)),
+                (stirling1[max(n - 1, 0)][n - k], q_stirling1[n][k], _int_stirling1(n, k)),
             )
             for op, q_value, classical in checks:
                 diag_ok = diag_ok and all(v == op.eigen[0] for v in op.eigen)

@@ -281,6 +281,14 @@ def test_konvalina_table_json_matches_golden(capsys, kind):
             for array in ("binom", "stirling1", "stirling2")
         ),
         (("verify", "--suite", "all", "--seed", "11"), "verify_all_seed11.txt"),
+        (
+            ("table", "--spec", str(GOLDEN / "spec_printed.json"), "--rows", "8", "--format", "json"),
+            "table_spec_printed_rows8.json",
+        ),
+        (
+            ("table", "--family", "psi-stirling2", "--psi", "qfact", "--rows", "8", "--format", "json"),
+            "table_psi-stirling2_qfact_rows8.json",
+        ),
     ],
 )
 def test_cli_output_matches_golden(capsys, argv, golden):

@@ -2,12 +2,14 @@
 
 import pytest
 
+from triads import konvalina
 from triads.konvalina import first_kind_oracle, second_kind_oracle
 from triads.psi import get_psi, n_psi
 from triads.psi_extensions import (
     comtet_transform,
     psi_stirling_first,
     psi_stirling_second,
+    psi_stirling_table,
     psi_weights,
 )
 from triads.scalar import ONE, Q, as_scalar, parse_scalar, q_integer, qpow
@@ -59,6 +61,32 @@ def test_values_match_enumeration():
         for k in range(n + 1):
             assert psi_stirling_first(qf, n, k) == first_kind_oracle(psi_weights(qf, n - 1), n - k)
             assert psi_stirling_second(qf, n, k) == second_kind_oracle(psi_weights(qf, k), n - k)
+
+
+@pytest.mark.parametrize("name", ["classical", "qfact", "fibonacci"])
+def test_table_matches_the_single_entries(monkeypatch, name):
+    psi = get_psi(name)
+    passes = []
+    real = konvalina._last_box_rows
+
+    def counted(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(konvalina, "_last_box_rows", counted)
+    for rows in (0, 1, 2, 12):
+        for kind, value in (("first", psi_stirling_first), ("second", psi_stirling_second)):
+            del passes[:]
+            table = psi_stirling_table(psi, rows, kind)
+            assert len(passes) == 1
+            assert table == [[value(psi, n, k) for k in range(n + 1)] for n in range(rows + 1)]
+
+
+def test_table_refuses_an_unknown_kind_and_negative_rows():
+    qf = get_psi("qfact")
+    for rows, kind in ((3, "third"), (-1, "first"), (-1, "second")):
+        with pytest.raises(ValueError):
+            psi_stirling_table(qf, rows, kind)
 
 
 def test_outside_triangle_raises():

@@ -321,6 +321,119 @@ def test_monomial_sum_makes_one_polynomial_addition(monkeypatch):
     assert len(calls) <= 1
 
 
+@st.composite
+def printed_terms(draw):
+    """Signed int terms (negate, c, e) of a printed polynomial, each with its printed text.
+
+    Terms come in any order, with repeated exponents and zero coefficients,
+    and in every form that reads as c*q^e: "c", "q", "q^e", "c*q", "c*q^e".
+    """
+    coefficient = st.one_of(st.integers(0, 3), st.integers(0, 10**45))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 60), st.sampled_from((1023, 1024)))
+    terms = []
+    for negate, c, e in draw(st.lists(st.tuples(st.booleans(), coefficient, exponent), min_size=1, max_size=30)):
+        forms = [f"{c}*q^{e}"]
+        if e == 0:
+            forms.append(str(c))
+        if e == 1:
+            forms.append(f"{c}*q")
+        if c == 1:
+            forms.append("q" if e == 1 else f"q^{e}")
+        terms.append((negate, c, e, draw(st.sampled_from(forms))))
+    return terms
+
+
+@settings(deadline=None, max_examples=200)
+@given(printed_terms())
+def test_printed_terms_read_as_the_general_path_reads_them(terms):
+    # every term in parentheses is read by the general path, as in test_parsed_sum_matches_the_fold
+    bare = "".join(f" {'-' if negate else '+'} {text}" for negate, _, _, text in terms).removeprefix(" + ")
+    wrapped = "".join(f" {'-' if negate else '+'} ({text})" for negate, _, _, text in terms).removeprefix(" + ")
+    expected = parse_scalar(wrapped)
+    value = parse_scalar(bare)
+    assert value == expected == sum((-c if negate else c) * qpow(e) for negate, c, e, _ in terms)
+    assert _typed(value.num.coeffs) == _typed(expected.num.coeffs)
+    assert value.den.coeffs == expected.den.coeffs == (1,)
+
+
+def test_printed_polynomial_parses_without_products(monkeypatch):
+    rng = random.Random(22)
+    terms = [f"{rng.randint(2, 10**12)}*q^{e}" for e in range(200)]
+    text = terms[0] + "".join(f" {rng.choice('+-')} {term}" for term in terms[1:])
+    expected = parse_scalar(text)
+    products = []
+    real = QPoly.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(QPoly, "__mul__", counting)
+    assert parse_scalar(text) == expected
+    assert len(products) <= 1  # the first term's c * q^e
+
+
+def _parse_error(text):
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text)
+    return str(info.value)
+
+
+def test_terms_the_reader_declines_give_the_general_path_errors():
+    limit = sys.get_int_max_str_digits()
+    long_token = "7" * (limit + 1)
+    past_limit = f"integer of {limit + 1} digits exceeds the limit of {limit} digits"
+    for text in (f"1 + {long_token}", f"1 + {long_token}*q", f"1 + q^{long_token}", f"1 - 2*q^{long_token}"):
+        assert _parse_error(text) == past_limit
+    messages = {
+        # an exponent over the q-degree cap
+        "1 + q^1025": "exponent 1025 exceeds cap 1024 in '1 + q^1025'",
+        "1 - 3*q^1025": "exponent 1025 exceeds cap 1024 in '1 - 3*q^1025'",
+        "1 + 2^1025": "exponent 1025 exceeds cap 1024 in '1 + 2^1025'",
+        # a "^" with no integer after it
+        "1 + q^": "unexpected end of expression in '1 + q^'",
+        "1 + 2*q^": "unexpected end of expression in '1 + 2*q^'",
+        "1 + 2*q^x": "integer exponent expected, got 'x' in '1 + 2*q^x'",
+        "1 + q^-": "unexpected end of expression in '1 + q^-'",
+        # a term that goes on with "*", "/" or "^", or ends before it is whole
+        "1 + 2*q^600*q^600": "q-degree 1200 exceeds cap 1024 in '1 + 2*q^600*q^600'",
+        "1 - q^2 ^ 3": "trailing input ['^', '3'] in '1 - q^2 ^ 3'",
+        "1 + 2^3^2": "trailing input ['^', '2'] in '1 + 2^3^2'",
+        "1 + 2*": "unexpected end of expression in '1 + 2*'",
+        "1 +": "unexpected end of expression in '1 +'",
+        # a term followed by anything but "+", "-", ")" or the end
+        "1 + 2 q": "trailing input ['q'] in '1 + 2 q'",
+        "(1 + 2*q": "missing ')' in '(1 + 2*q'",
+        "1 + 2*q)": "trailing input [')'] in '1 + 2*q)'",
+    }
+    for text, message in messages.items():
+        assert _parse_error(text) == message
+    assert parse_scalar("1 + 1/2*q^3 - 2*q^3*q + 2^3") == 9 + Fraction(1, 2) * qpow(3) - 2 * qpow(4)
+
+
+def test_coefficient_over_the_bits_cap_is_read_by_the_general_path():
+    # only a digit limit raised past 4932 digits lets one integer token exceed the cap
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        wide = "9" * 5000  # 16610 bits
+        for text in (f"1 + {wide}*q^2", f"1 + {wide}", f"1 - {wide}*q"):
+            assert _parse_error(text) == f"coefficient of 16610 bits exceeds cap {scalar._COEFF_BITS_CAP} in {text!r}"
+        # a bare integer term is bounded only by the whole sum, as before
+        assert parse_scalar(f"1 + {wide} - {wide}") == ONE
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_poly_sums_keep_the_general_path():
+    value = parse_poly("x + 2*q^3 - q")
+    assert value == Poly([2 * qpow(3) - Q, ONE])
+    assert [(_typed(c.num.coeffs), c.den.coeffs) for c in value.coeffs] == [
+        ([(0, int), (-1, int), (0, int), (2, int)], (1,)),
+        ([(1, int)], (1,)),
+    ]
+
+
 @settings(deadline=None)
 @given(scalars(), scalars(), st.integers(min_value=-3, max_value=3))
 def test_eval_is_homomorphism(a, b, v):

@@ -52,9 +52,8 @@ def test_operator_suite_computes_each_konkwa_value_once(monkeypatch):
     ]
     assert distinct == [11, 11]
     assert per_table == [1] * 7 + [11] * 4
-    # every other pass is a scalar q-array reference value: one pass for each
-    # psi_stirling value but the 10 first-kind zeros of column 0, 66 + 56
-    assert len(passes) == sum(per_table) + 122
+    # the scalar q-array references are two more passes, one psi_stirling_table per kind
+    assert len(passes) == sum(per_table) + 2
 
 
 def test_oracle_suite_enumerates_each_second_kind_value_once(monkeypatch):
