@@ -46,6 +46,7 @@ from .konvalina import (
     second_kind_oracle,
     second_kind_table,
     second_kind_triangle,
+    second_kind_triangle_table,
     split_identity,
 )
 from .families import FAMILIES, NotATriadError, cross_check, family_table, family_triad, family_value

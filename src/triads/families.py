@@ -1,15 +1,16 @@
 """Named coefficient families and their cross-checks.
 
-Each family value is the one weighted-selection definition it names,
-imported rather than restated:
+A family is a kind, a weight vector and a reindexing.  Its table is one
+last-box pass, and ``family_value`` reads the same table:
 
-  pascal      binom(n, k)  = konvalina.binomial: first kind, k from unit weights
-  stirling2   {n k}        = psi_stirling_second under the classical psi:
+  pascal      binom(n, k)  = first_kind_table(ones(rows), rows)[n][k]:
+                             first kind, k from n unit weights
+  stirling2   {n k}        = psi_stirling_table(classical, rows, "second"):
                              second kind, n-k balls over weights (1..k)
-  stirling1   [n k]        = psi_stirling_first under the classical psi:
+  stirling1   [n k]        = psi_stirling_table(classical, rows, "first"):
                              first kind, n-k from weights (1..n-1)
-  gauss       binom(n,k)_q = konvalina.q_binomial: second kind, k balls
-                             over (1, q, .., q^(n-k))
+  gauss       binom(n,k)_q = second_kind_table(qpowers(rows+1), rows, rows+1)[n-k+1][k]:
+                             second kind, k balls over (1, q, .., q^(n-k))
 
 A family's triad is the builtin spec of the same name in
 ``triad.BUILTIN_SPECS``, whose coefficient triangle must reproduce the
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .konvalina import binomial, check_triangle, q_binomial
+from .konvalina import check_triangle, first_kind_table, ones, qpowers, second_kind_table
 from .psi import get_psi
-from .psi_extensions import psi_stirling_first, psi_stirling_second
+from .psi_extensions import psi_stirling_table
 from .scalar import Scalar
 from .triad import BUILTIN_SPECS, SuiteResult, TriadSpec, coefficient_table
 
@@ -33,34 +34,39 @@ class NotATriadError(ValueError):
     """The family has no dual polynomial sequence / triad presentation."""
 
 
-FAMILIES: dict[str, Callable[[int, int], Scalar]] = {
-    "pascal": binomial,
-    "stirling2": lambda n, k: psi_stirling_second(get_psi("classical"), n, k),
-    "stirling1": lambda n, k: psi_stirling_first(get_psi("classical"), n, k),
-    "gauss": q_binomial,
+def _gauss_table(rows: int) -> list[list[Scalar]]:
+    states = second_kind_table(qpowers(rows + 1), rows, rows + 1)
+    return [[states[n - k + 1][k] for k in range(n + 1)] for n in range(rows + 1)]
+
+
+# rows n = 0..rows of each family's triangle, from one pass
+FAMILIES: dict[str, Callable[[int], list[list[Scalar]]]] = {
+    "pascal": lambda rows: first_kind_table(ones(rows), rows),
+    "stirling2": lambda rows: psi_stirling_table(get_psi("classical"), rows, "second"),
+    "stirling1": lambda rows: psi_stirling_table(get_psi("classical"), rows, "first"),
+    "gauss": _gauss_table,
 }
 
 
-def _value_fn(name: str) -> Callable[[int, int], Scalar]:
+def _table_fn(name: str) -> Callable[[int], list[list[Scalar]]]:
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILIES)}")
     return FAMILIES[name]
 
 
 def family_value(name: str, n: int, k: int) -> Scalar:
-    value = _value_fn(name)
+    table = _table_fn(name)
     check_triangle(n, k)
-    return value(n, k)
+    return table(n)[n][k]
 
 
 def family_table(name: str, rows: int) -> list[list[Scalar]]:
-    value = _value_fn(name)
-    return [[value(n, k) for k in range(n + 1)] for n in range(rows + 1)]
+    return _table_fn(name)(rows)
 
 
 def family_triad(name: str) -> TriadSpec:
     """The builtin triad spec that presents the family."""
-    _value_fn(name)  # refuses a name that is no family
+    _table_fn(name)  # refuses a name that is no family
     if name not in BUILTIN_SPECS:
         raise NotATriadError(f"family {name!r} has no triad presentation")
     return BUILTIN_SPECS[name]()
@@ -72,11 +78,12 @@ def cross_check(name: str, rows: int) -> SuiteResult:
     One FAIL line per mismatching (n, k); one PASS line if there is none.
     """
     table = coefficient_table(family_triad(name), rows)
+    values = family_table(name, rows)
     report = SuiteResult(f"cross-check {name}")
     for n in range(rows + 1):
         for k in range(n + 1):
             lhs = table.entry(n, k)
-            rhs = family_value(name, n, k)
+            rhs = values[n][k]
             if lhs != rhs:
                 report.check(False, f"(n={n}, k={k}): triad {lhs} != weighted {rhs}")
     if not report.lines:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .konvalina import last_box_row
 from .poly import Poly, X
 from .psi import PsiSequence, n_psi
-from .psi_extensions import psi_stirling_first, psi_stirling_second
+from .psi_extensions import psi_stirling_table, psi_weights
 from .scalar import ONE, Scalar, ZERO, as_scalar
 
 
@@ -108,13 +109,12 @@ def check_stirling2_series(psi: PsiSequence, k: int, order: int) -> bool:
 
     Compares sum_n {n k}_psi x^n with
     x^k / ((1 - 1_psi x)(1 - 2_psi x)...(1 - k_psi x)) through the order.
+    The lhs reads {n k}_psi, n = k..order, the second kind n-k over
+    (1_psi .. k_psi), from the last state of one pass to column order-k.
     """
     if k < 0 or order < k:
         raise ValueError("expects 0 <= k <= order")
-    lhs = Series(
-        [psi_stirling_second(psi, n, k) if n >= k else ZERO for n in range(order + 1)],
-        order,
-    )
+    lhs = Series([ZERO] * k + last_box_row(psi_weights(psi, k), order - k, "second"), order)
     denominator = Series.one(order)
     for i in range(1, k + 1):
         denominator = denominator * Series([ONE, -n_psi(psi, i)], order)
@@ -130,7 +130,7 @@ def check_stirling1_polynomial(psi: PsiSequence, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("expects n >= 1")
-    lhs = Poly([psi_stirling_first(psi, n, k) for k in range(n + 1)])
+    lhs = Poly(psi_stirling_table(psi, n, "first")[n])
     rhs = X
     for j in range(1, n):
         rhs = rhs * Poly([n_psi(psi, j), ONE])

@@ -22,35 +22,56 @@ against each other:
     at every k' from one pass per kind, and sum the states of one more pass
     (per side of the split) against the weights for every rhs.
 
-The pass and the enumerator are each one definition over a ring: they run
-over the weights' values with that ring's zero and one, and ``_ring``
-chooses the ring from the weights alone.  When every weight is constant in
-q -- the common case, and all of the random vectors the suites draw -- the
-values are native ints and Fractions (``WeightVector.constant_values``),
-which is several times faster than the same arithmetic through ``Scalar``;
-otherwise they are the Scalars themselves.  Values, oracles, tables and
-the triangle wrap each output once with ``as_scalar``, which restores the
-canonical form (a Fraction with denominator 1 becomes an int); the
-identity checks compare both sides inside the ring and wrap nothing.
+The pass, the enumerator and the triangle recurrence are each one
+definition over a ring: they run over the weights' values with that
+ring's zero and one, and ``_ring(w, k)`` chooses the ring from the weights
+and from k, the largest number of factors in any value that is read back
+or compared.  It returns the values, the zero, the one and ``wrap``, the
+map from a ring value back to a canonical Scalar.  There are three rings:
 
-``second_kind_triangle`` is the (n, k)-indexed reshaping of the second
-kind (value S_{n-k}^k) computed through its own flipped recurrence over
-the same ring, the shape Stirling triangles satisfy.  ``binomial`` and
-``q_binomial`` are the binomial and Gaussian arrays as these coefficients
-over unit and q-power weights; they are the only definition of the pascal
-and gauss family values.  The summation identities derived from the
-last-box decomposition are checked by ``suites.suite_corollary``.
+  * native ints and Fractions, when every weight is constant in q -- the
+    common case, and all of the random vectors the suites draw
+    (``WeightVector.constant_values``); ``wrap`` is ``as_scalar``, which
+    turns a Fraction with denominator 1 into an int;
+  * packed ints, when every weight is a polynomial with int coefficients
+    (q-powers, [n]_q) and the bound below fits a slot of at most 8 bytes:
+    ``scalar.packed_products`` evaluates each weight once at
+    q = 2^(8 * width), and ``wrap`` reads a value's slots back.  A value
+    of at most k factors over n weights is a sum of at most
+    comb(n+k-1, k) products, each with coefficients of magnitude at most
+    M^k, where M is the largest l1 norm of a weight's coefficients; the
+    slot holds max(comb(n+k-1, k) * M^k, M), so the weights themselves
+    fit even at k = 0;
+  * the Scalars themselves, for any other vector; ``wrap`` is ``as_scalar``.
+
+Native and packed arithmetic is several times faster than the same
+arithmetic through ``Scalar``.  Values, oracles, tables and the triangle
+wrap each output once; the identity checks compare both sides inside the
+ring and wrap nothing, which is exact in the packed ring too, because the
+bound covers every value compared and distinct polynomials within it
+evaluate to distinct ints.
+
+``second_kind_triangle_table`` is the (n, k)-indexed reshaping of the
+second kind (value S_{n-k}^k) computed through its own flipped recurrence
+over the same ring, the shape Stirling triangles satisfy, in one run over
+the whole vector; ``second_kind_triangle`` reads one entry of it.
+``binomial`` and ``q_binomial`` are single entries of the binomial and
+Gaussian arrays as these coefficients over unit and q-power weights; the
+pascal and gauss family tables read the same kinds over the same weights
+from one pass each.  The summation identities derived from the last-box
+decomposition are checked by ``suites.suite_corollary``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .scalar import ONE, Scalar, ZERO, as_scalar, qpow
+from .scalar import ONE, Scalar, ZERO, as_scalar, packed_products, qpow
 
 
 @dataclass(frozen=True)
@@ -73,8 +94,13 @@ class WeightVector:
         """Plain rational values when every weight is constant in q, else None.
 
         Integral weights come back as ints, which keeps the enumeration
-        oracles and the last-box pass on fast native arithmetic.
+        oracles and the last-box pass on fast native arithmetic.  The list
+        is computed once per vector and shared: callers must not change it.
         """
+        return self._constants
+
+    @cached_property
+    def _constants(self) -> list[int | Fraction] | None:
         out = []
         for s in self.weights:
             if not s.is_rational():
@@ -106,8 +132,8 @@ def _enumerate(w: WeightVector, k: int, index_tuples) -> Scalar:
         return ZERO
     if k == 0:
         return ONE
-    values, zero, _ = _ring(w)
-    return as_scalar(sum(map(math.prod, index_tuples(values, k)), zero))
+    values, zero, _, wrap = _ring(w, k)
+    return wrap(sum(map(math.prod, index_tuples(values, k)), zero))
 
 
 def first_kind_oracle(w: WeightVector, k: int) -> Scalar:
@@ -122,17 +148,22 @@ def second_kind_oracle(w: WeightVector, k: int) -> Scalar:
 
 # -- the last-box recurrence -------------------------------------------------
 
-def _ring(w: WeightVector) -> tuple[Sequence, object, object]:
-    """The weights' values with the zero and one of the ring they live in.
+def _ring(w: WeightVector, k: int) -> tuple[Sequence, object, object, Callable]:
+    """The weights' values, the zero and one of their ring, and the map back to Scalars.
 
-    Native ints and Fractions when every weight is constant in q, else the
-    Scalars themselves.  Either way the values are canonical once wrapped
-    with ``as_scalar``.
+    ``k`` is the largest number of factors in any value that is read back or
+    compared.  Native ints and Fractions when every weight is constant in q;
+    packed ints when every weight is an int polynomial whose sums of at most
+    comb(n+k-1, k) products of k weights fit an array-backed slot; else the
+    Scalars themselves.
     """
     values = w.constant_values()
-    if values is None:
-        return w.weights, ZERO, ONE
-    return values, 0, 1
+    if values is not None:
+        return values, 0, 1, as_scalar
+    packed = packed_products(w.weights, k, math.comb(len(w) + k - 1, k))
+    if packed is not None:
+        return packed[0], 0, 1, packed[1]
+    return w.weights, ZERO, ONE, as_scalar
 
 
 def _check_kind(kind: str) -> None:
@@ -172,16 +203,16 @@ def first_kind(w: WeightVector, k: int) -> Scalar:
     """e_k of the weights via the last-box recurrence."""
     if k < 0 or k > len(w):
         return ZERO
-    values, zero, one = _ring(w)
-    return as_scalar(_last_row(values, k, "first", zero, one)[k])
+    values, zero, one, wrap = _ring(w, k)
+    return wrap(_last_row(values, k, "first", zero, one)[k])
 
 
 def second_kind(w: WeightVector, k: int) -> Scalar:
     """h_k of the weights via the last-box recurrence."""
     if k < 0:
         return ZERO
-    values, zero, one = _ring(w)
-    return as_scalar(_last_row(values, k, "second", zero, one)[k])
+    values, zero, one, wrap = _ring(w, k)
+    return wrap(_last_row(values, k, "second", zero, one)[k])
 
 
 def first_kind_table(w: WeightVector, rows: int) -> list[list[Scalar]]:
@@ -190,9 +221,9 @@ def first_kind_table(w: WeightVector, rows: int) -> list[list[Scalar]]:
         raise ValueError("row count must be nonnegative")
     if rows > len(w):
         raise ValueError(f"table of {rows} rows needs {rows} weights, got {len(w)}")
-    values, zero, one = _ring(w.prefix(rows))
+    values, zero, one, wrap = _ring(w.prefix(rows), rows)
     states = _last_box_rows(values, rows, "first", zero, one)
-    return [[as_scalar(v) for v in dp[: n + 1]] for n, dp in enumerate(states)]
+    return [[wrap(v) for v in dp[: n + 1]] for n, dp in enumerate(states)]
 
 
 def second_kind_table(w: WeightVector, k_max: int, n_max: int) -> list[list[Scalar]]:
@@ -212,31 +243,47 @@ def last_box_table(w: WeightVector, k_max: int, kind: str) -> list[list[Scalar]]
     _check_kind(kind)
     if k_max < 0:
         raise ValueError("table sizes must be nonnegative")
-    values, zero, one = _ring(w)
-    return [[as_scalar(v) for v in dp] for dp in _last_box_rows(values, k_max, kind, zero, one)]
+    values, zero, one, wrap = _ring(w, k_max)
+    return [[wrap(v) for v in dp] for dp in _last_box_rows(values, k_max, kind, zero, one)]
 
 
-def second_kind_triangle(w: WeightVector, n: int, k: int) -> Scalar:
-    """The (n, k)-triangle reshaping of the second kind: value S_{n-k}^k.
+def last_box_row(w: WeightVector, k_max: int, kind: str) -> list[Scalar]:
+    """The last state of one pass: entry [k] is the kind's value k over all the weights, k <= k_max."""
+    _check_kind(kind)
+    if k_max < 0:
+        raise ValueError("table sizes must be nonnegative")
+    values, zero, one, wrap = _ring(w, k_max)
+    return [wrap(v) for v in _last_row(values, k_max, kind, zero, one)]
 
-    Computed by its own recurrence
+
+def second_kind_triangle_table(w: WeightVector, n_max: int) -> list[list[Scalar]]:
+    """The (n, k)-triangle reshaping of the second kind: entry [n][k] is S_{n-k}^k.
+
+    Rows n = 0..n_max, columns k = 0..len(w); entries with k > n are zero.
+    One run of its own recurrence over all of w,
         T(n, k) = T(n-1, k)*w_k + T(n-1, k-1),
     with T(0, 0) = 1 and zero elsewhere on the boundary (column 0 vanishes
     for n >= 1: the triangle carries ones on its diagonal, not in its
     first column).
     """
+    if n_max < 0:
+        raise ValueError("table sizes must be nonnegative")
+    values, zero, one, wrap = _ring(w, n_max)
+    row = [one] + [zero] * len(w)
+    rows = [row]
+    for _ in range(n_max):
+        row = [zero] + [row[j] * wj + row[j - 1] for j, wj in enumerate(values, start=1)]
+        rows.append(row)
+    return [[wrap(v) for v in row] for row in rows]
+
+
+def second_kind_triangle(w: WeightVector, n: int, k: int) -> Scalar:
+    """Entry [n][k] of the second-kind triangle, read from the table over w_1..w_k."""
     if k < 0 or n < 0:
         return ZERO
     if k > len(w):
         raise IndexError(f"triangle column {k} needs weight w_{k}, vector has {len(w)}")
-    values, zero, one = _ring(w.prefix(k))
-    row = [one] + [zero] * k
-    for _ in range(n):
-        new = [zero]
-        for j in range(1, k + 1):
-            new.append(row[j] * values[j - 1] + row[j - 1])
-        row = new
-    return as_scalar(row[k])
+    return second_kind_triangle_table(w.prefix(k), n)[n][k]
 
 
 # -- identity checks ---------------------------------------------------------
@@ -255,7 +302,7 @@ def last_box_identity(w: WeightVector, k: int, kind: str = "first") -> bool:
     _check_kind(kind)
     if k < 0:
         return True
-    values, zero, one = _ring(w)
+    values, zero, one, _ = _ring(w, k)
     lhs = _last_row(values, k, kind, zero, one)
     states = _last_box_rows(values, k - 1, kind, zero, one)
     if kind == "second":
@@ -279,7 +326,7 @@ def split_identity(w: WeightVector, split: int, k: int) -> bool:
         raise ValueError(f"split {split} outside 0..{len(w)}")
     if k < 0:
         return True
-    values, zero, one = _ring(w)
+    values, zero, one, _ = _ring(w, k)
     for kind in ("first", "second"):
         lhs = _last_row(values, k, kind, zero, one)
         left = _last_row(values[:split], k, kind, zero, one)

@@ -41,7 +41,10 @@ signed-slot packing.  When every entry is a polynomial with int
 coefficients, it picks one slot width for the whole product, evaluates
 each entry once, forms each sum_k A[n][k] * B[k][j] as a sum of int
 products and reads its digits once; otherwise it folds Scalar products,
-which give the same canonical values.
+which give the same canonical values.  :func:`packed_products` hands the
+same packing to code that runs its own sums and products of ints: the
+weighted-coefficient passes, enumerations and triangle of ``konvalina``
+over weights that are polynomials with int coefficients.
 
 Printing: integers print bare ("5"), polynomials as canonical
 ascending-power strings ("1 + q - 2*q^3"), quotients as "num / den" with
@@ -68,7 +71,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -481,6 +484,8 @@ class Scalar:
         return Scalar._raw(num**n, den**n)
 
     def __eq__(self, other: object) -> bool:
+        if other.__class__ is Scalar:
+            return self.num.coeffs == other.num.coeffs and self.den.coeffs == other.den.coeffs
         if isinstance(other, (int, Fraction)):
             other = _coerce(other)
         if not isinstance(other, Scalar):
@@ -530,6 +535,11 @@ Q = Scalar._raw(QP_Q, QP_ONE)
 
 def as_scalar(value: Scalar | int | Fraction | str) -> Scalar:
     """Coerce an int, Fraction, or expression string into a Scalar."""
+    # the two commonest arguments, a Scalar and an int, skip the type tests
+    if value.__class__ is Scalar:
+        return value
+    if value.__class__ is int:
+        return Scalar._raw(QPoly._raw((value,)), QP_ONE) if value else ZERO
     if isinstance(value, str):
         return parse_scalar(value)
     coerced = _coerce(value)
@@ -613,6 +623,33 @@ def _int_polynomial(s: Scalar) -> bool:
 
 def _packed_scalar(value: int, width: int) -> Scalar:
     return Scalar._raw(QPoly._raw(_digits(value, width)), QP_ONE) if value else ZERO
+
+
+def packed_products(
+    scalars: Sequence[Scalar], factors: int, terms: int
+) -> tuple[list[int], Callable[[int], Scalar]] | None:
+    """The scalars as native ints, and the map back, for sums of their products.
+
+    Every value that is read back or compared must be one of the scalars or
+    a sum of at most ``terms`` products of at most ``factors`` of them.  With
+    M the largest l1 norm of a scalar's coefficients, every coefficient of
+    such a value is at most max(terms * M^factors, M) in magnitude.  When
+    every scalar is a polynomial with int coefficients and that bound fits
+    an array-backed slot (at most 8 bytes), each scalar is evaluated once at
+    q = 2^(8 * width): sums and products of the ints are then exact images
+    of the polynomials', two values within the bound are equal exactly when
+    their ints are, and the returned map reads a value's digits back as a
+    canonical Scalar.  Otherwise None.
+    """
+    if not all(map(_int_polynomial, scalars)):
+        return None
+    norm = max((sum(map(abs, s.num.coeffs)) for s in scalars), default=0)
+    if norm > 1 and factors * (norm.bit_length() - 1) >= 64:
+        return None  # M^factors alone is past the widest array-backed slot
+    width = _slot_width(max(terms * norm**factors, norm))
+    if width not in _SLOT_FORMATS:
+        return None
+    return [_evaluate(s.num.coeffs, width) for s in scalars], lambda value: _packed_scalar(value, width)
 
 
 def _fold_product(a_rows: list, b_rows: list) -> list[tuple]:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Callable
 
 from . import konvalina
-from .families import cross_check, family_value
+from .families import FAMILIES, cross_check, family_table
 from .genfun import check_stirling1_polynomial, check_stirling2_series
 from .konvalina import (
     WeightVector,
@@ -36,7 +36,7 @@ from .konvalina import (
     qpowers,
     second_kind_oracle,
     second_kind_table,
-    second_kind_triangle,
+    second_kind_triangle_table,
 )
 from .operators import konkwa_table, n_qhat_entries, qhat, qhat_power_entries
 from .psi import get_psi
@@ -104,6 +104,8 @@ def suite_konvalina_oracle(seed: int = DEFAULT_SEED) -> SuiteResult:
         n = len(w)
         ct = first_kind_table(w, n)
         st = second_kind_table(w, n, n)
+        # entry [m + k][m] is the second kind k over the first m boxes
+        tri = second_kind_triangle_table(w, 2 * n)
         for m in range(n + 1):
             prefix = w.prefix(m)
             for k in range(m + 1):
@@ -114,7 +116,7 @@ def suite_konvalina_oracle(seed: int = DEFAULT_SEED) -> SuiteResult:
                 value = second_kind_oracle(prefix, k)
                 if st[m][k] != value:
                     second_ok = False
-                if second_kind_triangle(w, m + k, m) != value:
+                if tri[m + k][m] != value:
                     triangle_ok = False
     result.check(first_ok, f"first-kind table == enumeration, {count} random vectors (len <= {_RANDOM_LEN_MAX})")
     result.check(second_ok, f"second-kind table == enumeration, {count} random vectors")
@@ -202,18 +204,19 @@ def suite_families(rows: int = 12) -> SuiteResult:
     """Family mappings against enumeration, classical references, and triads."""
     result = SuiteResult("families")
     pascal_ok = stirling2_ok = stirling1_ok = gauss_ok = gauss_q1_ok = True
+    tables = {name: family_table(name, rows) for name in FAMILIES}
     for n in range(rows + 1):
         for k in range(n + 1):
-            pval = family_value("pascal", n, k)
+            pval = tables["pascal"][n][k]
             pascal_ok = pascal_ok and pval == first_kind_oracle(ones(n), k)
             pascal_ok = pascal_ok and pval == as_scalar(math.comb(n, k))
-            s2val = family_value("stirling2", n, k)
+            s2val = tables["stirling2"][n][k]
             stirling2_ok = stirling2_ok and s2val == second_kind_oracle(konvalina.naturals(k), n - k)
             stirling2_ok = stirling2_ok and s2val == as_scalar(_int_stirling2(n, k))
-            s1val = family_value("stirling1", n, k)
+            s1val = tables["stirling1"][n][k]
             stirling1_ok = stirling1_ok and s1val == first_kind_oracle(konvalina.naturals(max(n - 1, 0)), n - k)
             stirling1_ok = stirling1_ok and s1val == as_scalar(_int_stirling1(n, k))
-            gval = family_value("gauss", n, k)
+            gval = tables["gauss"][n][k]
             gauss_ok = gauss_ok and gval == second_kind_oracle(qpowers(n - k + 1), k)
             gauss_ok = gauss_ok and gval == _q_binomial_by_factorials(n, k)
             gauss_q1_ok = gauss_q1_ok and gval.eval_q(1) == Fraction(math.comb(n, k))

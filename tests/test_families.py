@@ -69,8 +69,10 @@ def test_cross_check_names_the_mismatching_entry(monkeypatch):
     assert cross_check("pascal", 4).render() == ["PASS cross-check pascal: triad agrees with weighted form, n <= 4"]
     pascal = FAMILIES["pascal"]
 
-    def perturbed(n, k):
-        return pascal(n, k) + (ONE if (n, k) == (3, 1) else ZERO)
+    def perturbed(rows):
+        table = pascal(rows)
+        table[3][1] = table[3][1] + ONE
+        return table
 
     monkeypatch.setitem(FAMILIES, "pascal", perturbed)
     report = cross_check("pascal", 4)

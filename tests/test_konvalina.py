@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triads import konvalina
 from triads.konvalina import (
@@ -17,6 +17,7 @@ from triads.konvalina import (
     first_kind_oracle,
     first_kind_table,
     last_box_identity,
+    last_box_row,
     last_box_table,
     naturals,
     ones,
@@ -26,9 +27,10 @@ from triads.konvalina import (
     second_kind_oracle,
     second_kind_table,
     second_kind_triangle,
+    second_kind_triangle_table,
     split_identity,
 )
-from triads.scalar import ONE, Q, ZERO, as_scalar, parse_scalar, qpow
+from triads.scalar import ONE, Q, ZERO, _evaluate, as_scalar, parse_scalar, qpow
 from triads.suites import suite_corollary
 
 from .oracles import newton_complete, newton_elementary, q_binomial_by_factorials
@@ -167,10 +169,10 @@ weight_values = st.one_of(
 @given(st.lists(weight_values, max_size=5), st.integers(0, 7))
 def test_recurrence_rows_match_enumeration(values, k):
     w = WeightVector.of(values)
-    values, zero, one = _ring(w)
+    values, zero, one, wrap = _ring(w, k)
     for kind, oracle in (("first", first_kind_oracle), ("second", second_kind_oracle)):
         row = _last_row(values, k, kind, zero, one)
-        assert [as_scalar(v) for v in row] == [oracle(w, j) for j in range(k + 1)]
+        assert [wrap(v) for v in row] == [oracle(w, j) for j in range(k + 1)]
     n = len(w)
     first_rows, second_rows = first_kind_table(w, n), second_kind_table(w, k, n)
     first_states = last_box_table(w, k, "first")
@@ -196,8 +198,8 @@ def test_native_ring_matches_scalar_ring_on_constant_vectors(seed):
         w = WeightVector.of(
             [rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-6, 6), rng.randint(1, 4))]) for _ in range(length)]
         )
-        values, zero, one = _ring(w)
-        assert (zero, one) == (0, 1) and values == w.constant_values()
+        values, zero, one, wrap = _ring(w, length + 1)
+        assert (zero, one, wrap) == (0, 1, as_scalar) and values == w.constant_values()
         for k in range(length + 2):
             for kind in ("first", "second"):
                 native = _states(values, k, kind, zero, one)
@@ -220,7 +222,7 @@ def test_integral_results_come_back_as_int_coefficients():
 
 def test_mixed_constant_and_symbolic_vector_matches_oracles():
     w = WeightVector.of([Fraction(1, 2), Q, 3, ONE + Q, Fraction(-2, 3)])
-    assert _ring(w)[1:] == (ZERO, ONE)
+    assert _ring(w, len(w) + 1)[1:] == (ZERO, ONE, as_scalar)
     for k in range(len(w) + 2):
         assert first_kind(w, k) == first_kind_oracle(w, k)
         assert second_kind(w, k) == second_kind_oracle(w, k)
@@ -359,3 +361,119 @@ def test_weight_vector_access():
     assert w.prefix(2).weights == (as_scalar(4), as_scalar(5))
     assert w.constant_values() == [4, 5, 6]
     assert WeightVector.of([Q]).constant_values() is None
+
+
+# -- the packed ring ---------------------------------------------------------
+
+def _forced_onto_scalars(monkeypatch):
+    """Run every pass, enumeration and triangle of ``konvalina`` over the Scalars themselves."""
+    monkeypatch.setattr(konvalina, "_ring", lambda w, k: (w.weights, ZERO, ONE, as_scalar))
+
+
+def _slot_bytes(w, k):
+    """Bytes per slot of the packed ring that ``_ring(w, k)`` picks, or None off it; w has a weight in q."""
+    values, zero, _, _ = _ring(w, k)
+    if zero is ZERO:
+        return None
+    value, cs = next((v, s.num.coeffs) for v, s in zip(values, w.weights) if not s.is_rational())
+    fits = [width for width in (1, 2, 4, 8) if max(map(abs, cs)) < 2 ** (8 * width - 1)]
+    return next(width for width in fits if _evaluate(cs, width) == value)
+
+
+def _typed(value):
+    """A Scalar, or nested lists of them, with each coefficient's type beside it."""
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    if isinstance(value, bool):
+        return value
+    return [(c, type(c)) for c in value.num.coeffs], [(c, type(c)) for c in value.den.coeffs]
+
+
+@pytest.mark.parametrize(
+    "coeff, width", [(127, 1), (128, 2), (-128, 2), (2**15, 4), (2**31, 8), (-(2**31), 8), (2**63, None)]
+)
+def test_k_zero_packs_the_weights_themselves(coeff, width):
+    # at k = 0 every value read is 1 or a weight, so the slot must hold the weights
+    w = WeightVector.of([as_scalar(coeff) * Q])
+    assert _slot_bytes(w, 0) == width
+    assert second_kind(w, 0) == ONE and first_kind(w, 0) == ONE
+    assert second_kind(w, 1) == w.weights[0] == first_kind(w, 1)
+    assert second_kind_table(w, 0, 1) == [[ONE], [ONE]]
+    assert last_box_table(w, 1, "first") == [[ONE, ZERO], [ONE, w.weights[0]]]
+    assert second_kind_triangle_table(w, 0) == [[ONE, ZERO]]
+
+
+def test_empty_vector_in_every_route():
+    w = WeightVector.of([])
+    assert first_kind(w, 0) == second_kind(w, 0) == first_kind_oracle(w, 0) == ONE
+    assert first_kind(w, 2) == second_kind(w, 2) == second_kind_oracle(w, 2) == ZERO
+    assert first_kind_table(w, 0) == [[ONE]]
+    assert second_kind_table(w, 2, 0) == [[ONE, ZERO, ZERO]]
+    assert last_box_row(w, 2, "second") == [ONE, ZERO, ZERO]
+    assert second_kind_triangle_table(w, 2) == [[ONE], [ZERO], [ZERO]]
+    assert last_box_identity(w, 3, "first") and last_box_identity(w, 3, "second") and split_identity(w, 0, 3)
+
+
+def test_mixed_constant_and_polynomial_vector_takes_the_packed_ring(monkeypatch):
+    w = WeightVector.of([2, Q, -3, ONE + Q**2, 5 * Q**3 - 1])
+    k = len(w) + 1
+    assert _slot_bytes(w, k) == 4
+    packed = _everything(w, k)
+    _forced_onto_scalars(monkeypatch)
+    assert _typed(packed) == _typed(_everything(w, k))
+
+
+def _everything(w, k):
+    """Every value, table, oracle, triangle and identity of the module over w at k."""
+    n = len(w)
+    out = [[first_kind(w, j) for j in range(-1, k + 2)], [second_kind(w, j) for j in range(-1, k + 2)]]
+    out += [first_kind_oracle(w, k), second_kind_oracle(w, k)]
+    out += [first_kind_table(w, n), second_kind_table(w, k, n)]
+    out += [last_box_table(w, k, kind) for kind in ("first", "second")]
+    out += [last_box_row(w, k, kind) for kind in ("first", "second")]
+    out += [second_kind_triangle_table(w, k), [second_kind_triangle(w, k, j) for j in range(min(k, n) + 1)]]
+    out += [last_box_identity(w, k, kind) for kind in ("first", "second")]
+    out += [split_identity(w, split, k) for split in range(n + 1)]
+    return out
+
+
+int_polynomials = st.integers(0, 40).flatmap(
+    lambda bits: st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=7)
+).map(lambda cs: sum((as_scalar(c) * qpow(e) for e, c in enumerate(cs)), ZERO))
+
+# one vector per slot width at k = 2, and one past the widest array-backed slot
+_WIDTH_CASES = {
+    1: [ONE, Q],
+    2: [as_scalar(30), Q],
+    4: [2**10 * Q],
+    8: [as_scalar(2**20), Q + 1],
+    None: [2**40 * Q, 2**40 + Q],
+}
+
+
+def test_slot_width_follows_the_bound():
+    for width, weights in _WIDTH_CASES.items():
+        assert _slot_bytes(WeightVector(tuple(weights)), 2) == width
+
+
+def _with_edge_cases(test):
+    for weights in _WIDTH_CASES.values():
+        test = example(weights, 2)(test)
+    # h_7 of six copies of +-q is +-792 q^7: the comb(n+k-1, k) term of the
+    # bound takes the slot from 1 byte (M^k = 1) to 2
+    for weights in ([Q] * 6, [-Q] * 6):
+        test = example(weights, 7)(test)
+    return test
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(int_polynomials, max_size=6), st.integers(0, 7))
+@_with_edge_cases
+def test_packed_ring_matches_the_scalar_ring(weights, k):
+    # the same computation forced onto (w.weights, ZERO, ONE), value for
+    # value and coefficient type for coefficient type
+    w = WeightVector(tuple(weights))
+    ringed = _everything(w, k)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _forced_onto_scalars(monkeypatch)
+        assert _typed(ringed) == _typed(_everything(w, k))

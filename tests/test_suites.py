@@ -74,19 +74,24 @@ def _failed_by(fault, run):
     return {text for text, ok in after.items() if not ok}
 
 
-def _doubled_at(real, witness):
-    """``real`` with its value doubled when its last two arguments are ``witness``."""
+def _doubled_entry(real, n, k):
+    """``real``, a table builder, with its entry [n][k] doubled in every table that has one."""
 
     def perturbed(*args):
-        value = real(*args)
-        return value + value if args[-2:] == witness else value
+        table = real(*args)
+        if n < len(table) and k < len(table[n]):
+            table[n][k] = table[n][k] + table[n][k]
+        return table
 
     return perturbed
 
 
 def test_triangle_fault_fails_only_the_triangle_line(monkeypatch):
-    fault = _doubled_at(suites.second_kind_triangle, (3, 1))
-    failed = _failed_by(lambda: monkeypatch.setattr(suites, "second_kind_triangle", fault), suites.suite_konvalina_oracle)
+    # entry [3][1] is w_1^2, read at m = 1, k = 2 from every vector of length >= 2
+    fault = _doubled_entry(suites.second_kind_triangle_table, 3, 1)
+    failed = _failed_by(
+        lambda: monkeypatch.setattr(suites, "second_kind_triangle_table", fault), suites.suite_konvalina_oracle
+    )
     assert failed == {"triangle reindexing == enumeration, 200 random vectors"}
 
 
@@ -106,7 +111,7 @@ def test_second_kind_operator_fault_fails_only_the_shape_line(monkeypatch):
 
 
 def test_stirling2_family_fault_fails_only_the_lines_that_read_it(monkeypatch):
-    fault = _doubled_at(families.FAMILIES["stirling2"], (5, 2))
+    fault = _doubled_entry(families.FAMILIES["stirling2"], 5, 2)
     failed = _failed_by(lambda: monkeypatch.setitem(families.FAMILIES, "stirling2", fault), suites.suite_families)
     # the triad cross-check compares the triad triangle with the same family value
     assert failed == {
