@@ -24,10 +24,11 @@ against each other:
 
 The pass, the enumerator and the triangle recurrence are each one
 definition over a ring: they run over the weights' values with that
-ring's zero and one, and ``_ring(w, k)`` chooses the ring from the weights
-and from k, the largest number of factors in any value that is read back
-or compared.  It returns the values, the zero, the one and ``wrap``, the
-map from a ring value back to a canonical Scalar.  There are three rings:
+ring's zero and one, and ``_ring(w, k, kind)`` chooses the ring from the
+weights, from k, the largest number of factors in any value that is read
+back or compared, and from the kind of those values.  It returns the
+values, the zero, the one and ``wrap``, the map from a ring value back to
+a canonical Scalar.  There are three rings:
 
   * native ints and Fractions, when every weight is constant in q -- the
     common case, and all of the random vectors the suites draw
@@ -37,11 +38,12 @@ map from a ring value back to a canonical Scalar.  There are three rings:
     (q-powers, [n]_q) and the bound below fits a slot of at most 8 bytes:
     ``scalar.packed_products`` evaluates each weight once at
     q = 2^(8 * width), and ``wrap`` reads a value's slots back.  A value
-    of at most k factors over n weights is a sum of at most
-    comb(n+k-1, k) products, each with coefficients of magnitude at most
-    M^k, where M is the largest l1 norm of a weight's coefficients; the
-    slot holds max(comb(n+k-1, k) * M^k, M), so the weights themselves
-    fit even at k = 0;
+    of at most k factors over n weights is a sum of at most T products,
+    each with coefficients of magnitude at most M^k, where M is the
+    largest l1 norm of a weight's coefficients; T is comb(n+k-1, k) for
+    the second kind and comb(n, min(k, n // 2)) for the first, whose
+    values sum products of distinct weights.  The slot holds
+    max(T * M^k, M), so the weights themselves fit even at k = 0;
   * the Scalars themselves, for any other vector; ``wrap`` is ``as_scalar``.
 
 Native and packed arithmetic is several times faster than the same
@@ -126,44 +128,58 @@ WEIGHT_RULES = {"ones": ones, "naturals": naturals, "qpowers": qpowers}
 
 # -- definitional oracles ----------------------------------------------------
 
-def _enumerate(w: WeightVector, k: int, index_tuples) -> Scalar:
-    """Sum of the products of the k-tuples of weights that ``index_tuples`` draws."""
+def _enumerate(w: WeightVector, k: int, kind: str) -> Scalar:
+    """Sum of the products of the k-tuples of weights the kind draws: distinct boxes, or repeats allowed."""
     if k < 0:
         return ZERO
     if k == 0:
         return ONE
-    values, zero, _, wrap = _ring(w, k)
+    values, zero, _, wrap = _ring(w, k, kind)
+    index_tuples = combinations if kind == "first" else combinations_with_replacement
     return wrap(sum(map(math.prod, index_tuples(values, k)), zero))
 
 
 def first_kind_oracle(w: WeightVector, k: int) -> Scalar:
     """Sum of products over strictly increasing index tuples (enumeration)."""
-    return _enumerate(w, k, combinations)
+    return _enumerate(w, k, "first")
 
 
 def second_kind_oracle(w: WeightVector, k: int) -> Scalar:
     """Sum of products over weakly increasing index tuples (enumeration)."""
-    return _enumerate(w, k, combinations_with_replacement)
+    return _enumerate(w, k, "second")
 
 
 # -- the last-box recurrence -------------------------------------------------
 
-def _ring(w: WeightVector, k: int) -> tuple[Sequence, object, object, Callable]:
+def _ring(w: WeightVector, k: int, kind: str = "second") -> tuple[Sequence, object, object, Callable]:
     """The weights' values, the zero and one of their ring, and the map back to Scalars.
 
     ``k`` is the largest number of factors in any value that is read back or
-    compared.  Native ints and Fractions when every weight is constant in q;
-    packed ints when every weight is an int polynomial whose sums of at most
-    comb(n+k-1, k) products of k weights fit an array-backed slot; else the
-    Scalars themselves.
+    compared, and ``kind`` the kind of those values; the second kind's
+    bound covers first-kind values too.  Native ints and Fractions when
+    every weight is constant in q; packed ints when every weight is an int
+    polynomial whose sums of at most ``_terms(len(w), k, kind)`` products
+    of k weights fit a slot of at most 8 bytes; else the Scalars themselves.
     """
     values = w.constant_values()
     if values is not None:
         return values, 0, 1, as_scalar
-    packed = packed_products(w.weights, k, math.comb(len(w) + k - 1, k))
+    packed = packed_products(w.weights, k, _terms(len(w), k, kind))
     if packed is not None:
         return packed[0], 0, 1, packed[1]
     return w.weights, ZERO, ONE, as_scalar
+
+
+def _terms(n: int, k: int, kind: str) -> int:
+    """The most products in a value of at most k factors over n weights.
+
+    A first-kind value j <= k sums comb(n, j) products, at most
+    comb(n, min(k, n // 2)); a second-kind value j <= k sums
+    comb(n+j-1, j), at most comb(n+k-1, k).
+    """
+    if kind == "first":
+        return math.comb(n, min(k, n // 2))
+    return math.comb(n + k - 1, k)
 
 
 def _check_kind(kind: str) -> None:
@@ -203,7 +219,7 @@ def first_kind(w: WeightVector, k: int) -> Scalar:
     """e_k of the weights via the last-box recurrence."""
     if k < 0 or k > len(w):
         return ZERO
-    values, zero, one, wrap = _ring(w, k)
+    values, zero, one, wrap = _ring(w, k, "first")
     return wrap(_last_row(values, k, "first", zero, one)[k])
 
 
@@ -221,7 +237,7 @@ def first_kind_table(w: WeightVector, rows: int) -> list[list[Scalar]]:
         raise ValueError("row count must be nonnegative")
     if rows > len(w):
         raise ValueError(f"table of {rows} rows needs {rows} weights, got {len(w)}")
-    values, zero, one, wrap = _ring(w.prefix(rows), rows)
+    values, zero, one, wrap = _ring(w.prefix(rows), rows, "first")
     states = _last_box_rows(values, rows, "first", zero, one)
     return [[wrap(v) for v in dp[: n + 1]] for n, dp in enumerate(states)]
 
@@ -243,7 +259,7 @@ def last_box_table(w: WeightVector, k_max: int, kind: str) -> list[list[Scalar]]
     _check_kind(kind)
     if k_max < 0:
         raise ValueError("table sizes must be nonnegative")
-    values, zero, one, wrap = _ring(w, k_max)
+    values, zero, one, wrap = _ring(w, k_max, kind)
     return [[wrap(v) for v in dp] for dp in _last_box_rows(values, k_max, kind, zero, one)]
 
 
@@ -252,7 +268,7 @@ def last_box_row(w: WeightVector, k_max: int, kind: str) -> list[Scalar]:
     _check_kind(kind)
     if k_max < 0:
         raise ValueError("table sizes must be nonnegative")
-    values, zero, one, wrap = _ring(w, k_max)
+    values, zero, one, wrap = _ring(w, k_max, kind)
     return [wrap(v) for v in _last_row(values, k_max, kind, zero, one)]
 
 
@@ -302,7 +318,7 @@ def last_box_identity(w: WeightVector, k: int, kind: str = "first") -> bool:
     _check_kind(kind)
     if k < 0:
         return True
-    values, zero, one, _ = _ring(w, k)
+    values, zero, one, _ = _ring(w, k, kind)
     lhs = _last_row(values, k, kind, zero, one)
     states = _last_box_rows(values, k - 1, kind, zero, one)
     if kind == "second":

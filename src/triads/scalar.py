@@ -45,6 +45,12 @@ which give the same canonical values.  :func:`packed_products` hands the
 same packing to code that runs its own sums and products of ints: the
 weighted-coefficient passes, enumerations and triangle of ``konvalina``
 over weights that are polynomials with int coefficients.
+:func:`_packed_terms` hands it to the triad recurrences, with each value
+q^e * p as the pair (p packed, shift), so that a product by a monomial
+c*q^e is a product by c and a shift.  Every slot is exactly as many bytes
+as its bound needs: 1, 2, 4 and 8 bytes are array items, 3, 5, 6 and 7
+bytes are copied out of 8-byte items with strided slices, and wider slots
+pack each coefficient with ``int.to_bytes``.
 
 Printing: integers print bare ("5"), polynomials as canonical
 ascending-power strings ("1 + q - 2*q^3"), quotients as "num / den" with
@@ -277,24 +283,46 @@ _INT_ONLY = frozenset((int,))
 # Signed array formats by item size in bytes: the slot widths packed at C speed.
 _SLOT_FORMATS = {array(code).itemsize: code for code in "bhiq"}
 _SWAP = sys.byteorder == "big"
+# The top byte of a two's-complement slot mapped to the byte that extends its sign.
+_SIGN_FILL = bytes(0xFF if byte & 0x80 else 0 for byte in range(256))
 
 
 def _pack(cs: tuple, width: int) -> bytes:
-    """Little-endian two's-complement bytes of ``cs``, ``width`` bytes a slot."""
-    fmt = _SLOT_FORMATS.get(width)
-    if fmt is None:
+    """Little-endian two's-complement bytes of ``cs``, ``width`` bytes a slot.
+
+    A slot of 1, 2, 4 or 8 bytes is an array item.  A slot of 3, 5, 6 or 7
+    bytes is packed as an 8-byte item first, and its low ``width`` bytes are
+    copied out with one strided slice per byte.  A wider slot packs each
+    coefficient with its own ``int.to_bytes``.
+    """
+    if width > 8:
         return b"".join(c.to_bytes(width, "little", signed=True) for c in cs)
-    slots = array(fmt, cs)
+    fmt = _SLOT_FORMATS.get(width)
+    slots = array(fmt or "q", cs)
     if _SWAP:
         slots.byteswap()
-    return slots.tobytes()
+    data = slots.tobytes()
+    if fmt is not None:
+        return data
+    out = bytearray(len(cs) * width)
+    for byte in range(width):
+        out[byte::width] = data[byte::8]
+    return out
 
 
 def _unpack(data: bytes, width: int) -> tuple:
-    """Inverse of :func:`_pack`."""
+    """Inverse of :func:`_pack`; a 3-, 5-, 6- or 7-byte slot is sign-extended from its top byte."""
+    if width > 8:
+        return tuple(int.from_bytes(data[i:i + width], "little", signed=True) for i in range(0, len(data), width))
     fmt = _SLOT_FORMATS.get(width)
     if fmt is None:
-        return tuple(int.from_bytes(data[i:i + width], "little", signed=True) for i in range(0, len(data), width))
+        wide = bytearray(len(data) // width * 8)
+        for byte in range(width):
+            wide[byte::8] = data[byte::width]
+        fill = data[width - 1::width].translate(_SIGN_FILL)
+        for byte in range(width, 8):
+            wide[byte::8] = fill
+        data, fmt = wide, "q"
     slots = array(fmt, data)
     if _SWAP:
         slots.byteswap()
@@ -304,17 +332,17 @@ def _unpack(data: bytes, width: int) -> tuple:
 # Signed slots.  A slot of ``width`` bytes holds a coefficient c with
 # |c| < 2^(k-1), k = 8 * width, so each slot keeps a sign bit and the digits
 # of a sum or product that stays inside the bound never carry into each
-# other.  Adding h = 2^(k-1) to every slot flips its top bit, so the value
-# at q = 2^k is the two's-complement packing XOR the mask M of top bits,
-# minus M; read back, the value plus M has every slot in [0, 2^k), and XOR
-# with M turns the slots back into two's complement.
+# other.  A slot is exactly as many bytes as its bound needs: the packed
+# ints, and every sum and product of them, are no longer than they must
+# be.  Adding h = 2^(k-1) to every slot flips its top bit, so the value at
+# q = 2^k is the two's-complement packing XOR the mask M of top bits, minus
+# M; read back, the value plus M has every slot in [0, 2^k), and XOR with M
+# turns the slots back into two's complement.
 
 
 def _slot_width(bound: int) -> int:
-    """Bytes a slot needs for coefficients of magnitude at most ``bound``."""
-    width = (bound.bit_length() + 8) // 8
-    # the array-backed sizes are 1, 2, 4 and 8 bytes
-    return 1 << (width - 1).bit_length() if width <= 8 else width
+    """Bytes a slot needs for coefficients of magnitude at most ``bound``, sign bit included."""
+    return (bound.bit_length() + 8) // 8
 
 
 def _top_bits(n: int, width: int) -> int:
@@ -635,7 +663,7 @@ def packed_products(
     M the largest l1 norm of a scalar's coefficients, every coefficient of
     such a value is at most max(terms * M^factors, M) in magnitude.  When
     every scalar is a polynomial with int coefficients and that bound fits
-    an array-backed slot (at most 8 bytes), each scalar is evaluated once at
+    a slot of at most 8 bytes, each scalar is evaluated once at
     q = 2^(8 * width): sums and products of the ints are then exact images
     of the polynomials', two values within the bound are equal exactly when
     their ints are, and the returned map reads a value's digits back as a
@@ -645,11 +673,45 @@ def packed_products(
         return None
     norm = max((sum(map(abs, s.num.coeffs)) for s in scalars), default=0)
     if norm > 1 and factors * (norm.bit_length() - 1) >= 64:
-        return None  # M^factors alone is past the widest array-backed slot
+        return None  # M^factors alone is past a slot of 8 bytes
     width = _slot_width(max(terms * norm**factors, norm))
-    if width not in _SLOT_FORMATS:
+    if width > 8:
         return None
     return [_evaluate(s.num.coeffs, width) for s in scalars], lambda value: _packed_scalar(value, width)
+
+
+def _packed_terms(
+    sequences: Sequence[Sequence[Scalar]], bound: Callable[..., int]
+) -> tuple[list[list[tuple[int, int]]], Callable[[tuple[int, int], int], int], Callable[[int], Scalar]] | None:
+    """The scalars of each sequence as packed factors, for a recurrence that multiplies by them.
+
+    ``bound`` is called with the l1 norms of the scalars' coefficients, one
+    list per sequence, and returns a bound on the coefficients of every
+    value the recurrence reads back.  When every scalar is a polynomial
+    with int coefficients, the slot holds that bound and the scalars' own
+    coefficients.  A scalar q^e * p, with p's constant coefficient nonzero,
+    is returned as the pair (p evaluated at q = 2^(8 * width), 8 * width * e),
+    so the packed image of a monomial c*q^e is (c, 8 * width * e).  Also
+    returned are ``times``, which maps a pair and the packed image of a
+    polynomial to the packed image of their product -- for a monomial, a
+    product by c and a shift -- and the map that reads a packed value back
+    as a canonical Scalar.  Otherwise None.
+    """
+    if not all(_int_polynomial(s) for seq in sequences for s in seq):
+        return None
+    norms = [[sum(map(abs, s.num.coeffs)) for s in seq] for seq in sequences]
+    width = _slot_width(max((bound(*norms), *(_magnitude(s.num.coeffs) for seq in sequences for s in seq))))
+    shift = 8 * width
+
+    def factor(cs: tuple) -> tuple[int, int]:
+        e = next((i for i, c in enumerate(cs) if c), 0)
+        return _evaluate(cs[e:], width), shift * e
+
+    return (
+        [[factor(s.num.coeffs) for s in seq] for seq in sequences],
+        lambda pair, value: value * pair[0] << pair[1],
+        lambda value: _packed_scalar(value, width),
+    )
 
 
 def _fold_product(a_rows: list, b_rows: list) -> list[tuple]:

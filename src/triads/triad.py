@@ -13,19 +13,36 @@ drive two recurrences that are dual to each other:
 
 The two are linked by the connection identity x^n = sum_k c[n][k]*phi_k,
 which :func:`verify_connection` checks as one matrix product C * Phi.
+
+Each recurrence reads every sequence value it needs once, in the order it
+first needs it, and runs on packed native ints when every value read is a
+polynomial in q with int coefficients and, for the dual recurrence, every
+i(k) is 1 or -1 (so 1/i(k) = i(k)).  ``scalar._packed_terms`` evaluates
+each value once at q = 2^(8w): a monomial c*q^e becomes a product by c and
+a shift by 8we.  The slot width w comes from the same recurrence run over
+the l1 norms |.|_1 of the values' coefficients,
+    |c[n+1][k]|_1 <= |i(k-1)|_1*|c[n][k-1]|_1 + |q(k)|_1*|c[n][k]|_1 + |d(k+1)|_1*|c[n][k+1]|_1,
+and the same rule for the coefficients of phi_{k+1}; the slot also holds
+the values themselves.  Each cell or coefficient is read back once as a
+canonical Scalar, equal to what the Scalar loop gives.  Any other spec
+runs the Scalar loop.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .poly import P_ONE, P_ZERO, Poly, x_power
-from .scalar import ONE, Scalar, ZERO, as_scalar, matrix_product, qpow
+from .poly import P_ONE, P_ZERO, Poly, _check_degree, x_power
+from .scalar import ONE, Scalar, ZERO, _packed_terms, as_scalar, matrix_product, qpow
 
 SequenceRule = Callable[[int], Scalar]
+
+# the values of i(k) for which the dual recurrence runs packed: 1/i(k) = i(k)
+_UNITS = (ONE, -ONE)
 
 
 class SingularTriadError(ValueError):
@@ -96,41 +113,103 @@ def coefficient_table(spec: TriadSpec, rows: int) -> TriadTable:
     """Fill the coefficient triangle through the given row count."""
     if rows < 0:
         raise ValueError("row count must be nonnegative")
-    table: list[list[Scalar]] = [[ONE]]
+    # coefficients multiplying out-of-triangle (zero) entries are never
+    # evaluated, so depth-N tables need i, q at 0..N-1 and d at 1..N-1 only;
+    # each is read once, in the order the recurrence first needs it, so a
+    # failing read raises the error the recurrence would meet first
+    i_vals, q_vals, d_vals = [], [], [ZERO]
+    for m in range(rows):
+        if m:
+            d_vals.append(spec.d_seq(m))
+        q_vals.append(spec.q_seq(m))
+        i_vals.append(spec.i_seq(m))
+    sequences = (i_vals, q_vals, d_vals)
+    packed = _packed_terms(sequences, lambda *norms: max(map(max, _triangle(*norms, rows, 0, 1, mul))))
+    if packed is None:
+        return TriadTable(_triangle(*sequences, rows, ZERO, ONE, mul))
+    terms, times, read = packed
+    return TriadTable([list(map(read, row)) for row in _triangle(*terms, rows, 0, 1, times)])
+
+
+def _triangle(i: Sequence, q: Sequence, d: Sequence, rows: int, zero, one, times: Callable) -> list[list]:
+    """c[n+1][k] = i(k-1)*c[n][k-1] + q(k)*c[n][k] + d(k+1)*c[n][k+1] over a ring.
+
+    ``times(a, c)`` is the sequence value a times the cell c.  Over the l1
+    norms of the values, with ``mul``, each cell is a bound on the l1 norm
+    of the coefficients of the cell it stands for.
+    """
+    table = [[one]]
     for n in range(rows):
         prev = table[n]
         row = []
-        # coefficients multiplying out-of-triangle (zero) entries are never
-        # evaluated, so depth-N tables need sequence indices 0..N-1 only
         for k in range(n + 2):
-            value = ZERO
+            value = zero
             if k >= 1:
-                value = value + spec.i_seq(k - 1) * prev[k - 1]
+                value = value + times(i[k - 1], prev[k - 1])
             if k <= n:
-                value = value + spec.q_seq(k) * prev[k]
+                value = value + times(q[k], prev[k])
             if k + 1 <= n:
-                value = value + spec.d_seq(k + 1) * prev[k + 1]
+                value = value + times(d[k + 1], prev[k + 1])
             row.append(value)
         table.append(row)
-    return TriadTable(table)
+    return table
 
 
 def dual_polynomials(spec: TriadSpec, count: int) -> list[Poly]:
     """The polynomials phi_0 .. phi_count generated by the dual recurrence."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    phis = [P_ONE]
-    prev = P_ZERO
+    # read in the recurrence's order, with its checks: a zero i(k) before
+    # q(k) and d(k), and phi_{k+1} past the degree cap after i(k)
+    i_vals, q_vals, d_vals = [], [], [ZERO]
     for k in range(count):
         ik = spec.i_seq(k)
         if ik.is_zero():
             raise SingularTriadError(k)
-        current = phis[k]
-        top = current.times_x() - current.scale(spec.q_seq(k))
+        _check_degree(k + 1)
+        i_vals.append(ik)
+        q_vals.append(spec.q_seq(k))
         if k >= 1:
-            top = top - prev.scale(spec.d_seq(k))
-        phis.append(top.scale(ONE / ik))
+            d_vals.append(spec.d_seq(k))
+    # with i(k) = +-1, 1/i(k) = i(k): phi_{k+1} = i(k)*(x*phi_k - q(k)*phi_k - d(k)*phi_{k-1})
+    if all(ik in _UNITS for ik in i_vals):
+        packed = _packed_terms(
+            (i_vals, [-v for v in q_vals], [-v for v in d_vals]),
+            lambda *norms: max(map(max, _dual_rows(*norms, count, mul))),
+        )
+        if packed is not None:
+            terms, times, read = packed
+            phis = _dual_rows(*terms, count, times)
+            return [P_ONE] + [Poly._raw(tuple(map(read, phi))) for phi in phis[1:]]
+    phis = [P_ONE]
+    prev = P_ZERO
+    for k in range(count):
+        current = phis[k]
+        top = current.times_x() - current.scale(q_vals[k])
+        if k >= 1:
+            top = top - prev.scale(d_vals[k])
+        phis.append(top.scale(ONE / i_vals[k]))
         prev = current
+    return phis
+
+
+def _dual_rows(i: Sequence, q: Sequence, d: Sequence, count: int, times: Callable) -> list[list]:
+    """phi_{k+1} = i(k)*(x*phi_k + q(k)*phi_k + d(k)*phi_{k-1}) over ints, as x-coefficient lists.
+
+    Called with packed i = +-1, -q and -d, this is the dual recurrence.
+    Over the l1 norms of the values, with ``mul``, each entry is a bound on
+    the l1 norm of the coefficients of the entry it stands for.
+    """
+    phis = [[1]]
+    for k in range(count):
+        current = phis[k]
+        top = [0, *current]
+        for j, c in enumerate(current):
+            top[j] += times(q[k], c)
+        if k >= 1:
+            for j, c in enumerate(phis[k - 1]):
+                top[j] += times(d[k], c)
+        phis.append([times(i[k], c) for c in top])
     return phis
 
 

@@ -289,6 +289,14 @@ def test_konvalina_table_json_matches_golden(capsys, kind):
             ("table", "--family", "psi-stirling2", "--psi", "qfact", "--rows", "8", "--format", "json"),
             "table_psi-stirling2_qfact_rows8.json",
         ),
+        # i = +-1 and d != 0 over int q-polynomials: the packed recurrences
+        (
+            ("table", "--spec", str(GOLDEN / "spec_unit_i.json"), "--rows", "12", "--format", "json"),
+            "table_spec_unit_i_rows12.json",
+        ),
+        (("verify", "--spec", str(GOLDEN / "spec_unit_i.json"), "--rows", "12"), "verify_spec_unit_i_rows12.txt"),
+        # some i off +-1: the dual polynomials take the Scalar loop
+        (("verify", "--spec", str(GOLDEN / "spec_printed.json"), "--rows", "8"), "verify_spec_printed_rows8.txt"),
     ],
 )
 def test_cli_output_matches_golden(capsys, argv, golden):

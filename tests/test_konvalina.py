@@ -1,5 +1,6 @@
 """Weighted binomial coefficients: oracles, recurrences, and identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -367,16 +368,16 @@ def test_weight_vector_access():
 
 def _forced_onto_scalars(monkeypatch):
     """Run every pass, enumeration and triangle of ``konvalina`` over the Scalars themselves."""
-    monkeypatch.setattr(konvalina, "_ring", lambda w, k: (w.weights, ZERO, ONE, as_scalar))
+    monkeypatch.setattr(konvalina, "_ring", lambda w, k, kind="second": (w.weights, ZERO, ONE, as_scalar))
 
 
-def _slot_bytes(w, k):
-    """Bytes per slot of the packed ring that ``_ring(w, k)`` picks, or None off it; w has a weight in q."""
-    values, zero, _, _ = _ring(w, k)
+def _slot_bytes(w, k, kind="second"):
+    """Bytes per slot of the packed ring that ``_ring(w, k, kind)`` picks, or None off it; w has a weight in q."""
+    values, zero, _, _ = _ring(w, k, kind)
     if zero is ZERO:
         return None
     value, cs = next((v, s.num.coeffs) for v, s in zip(values, w.weights) if not s.is_rational())
-    fits = [width for width in (1, 2, 4, 8) if max(map(abs, cs)) < 2 ** (8 * width - 1)]
+    fits = [width for width in range(1, 9) if max(map(abs, cs)) < 2 ** (8 * width - 1)]
     return next(width for width in fits if _evaluate(cs, width) == value)
 
 
@@ -390,7 +391,27 @@ def _typed(value):
 
 
 @pytest.mark.parametrize(
-    "coeff, width", [(127, 1), (128, 2), (-128, 2), (2**15, 4), (2**31, 8), (-(2**31), 8), (2**63, None)]
+    "coeff, width",
+    [
+        (127, 1),
+        (128, 2),
+        (-128, 2),
+        (2**15 - 1, 2),
+        (2**15, 3),
+        (2**23 - 1, 3),
+        (2**23, 4),
+        (2**31 - 1, 4),
+        (2**31, 5),
+        (-(2**31), 5),
+        (2**39 - 1, 5),
+        (2**39, 6),
+        (2**47 - 1, 6),
+        (2**47, 7),
+        (2**55 - 1, 7),
+        (2**55, 8),
+        (2**63 - 1, 8),
+        (2**63, None),
+    ],
 )
 def test_k_zero_packs_the_weights_themselves(coeff, width):
     # at k = 0 every value read is 1 or a weight, so the slot must hold the weights
@@ -441,23 +462,61 @@ int_polynomials = st.integers(0, 40).flatmap(
     lambda bits: st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=7)
 ).map(lambda cs: sum((as_scalar(c) * qpow(e) for e, c in enumerate(cs)), ZERO))
 
-# one vector per slot width at k = 2, and one past the widest array-backed slot
-_WIDTH_CASES = {
-    1: [ONE, Q],
-    2: [as_scalar(30), Q],
-    4: [2**10 * Q],
-    8: [as_scalar(2**20), Q + 1],
-    None: [2**40 * Q, 2**40 + Q],
-}
+
+
+def _square_edges(width):
+    """[c*q] at k = 2 has the bound c^2: the largest c whose square fits ``width`` bytes, and the next."""
+    c = math.isqrt(2 ** (8 * width - 1) - 1)
+    return [([c * Q], width), ([(c + 1) * Q], width + 1 if width < 8 else None)]
+
+
+# vectors at k = 2 with the slot width they take: mixed ones, and one on
+# each side of every byte boundary up to a slot of 8 bytes
+_WIDTH_CASES = [
+    ([ONE, Q], 1),
+    ([as_scalar(30), Q], 2),
+    ([2**10 * Q], 3),
+    ([as_scalar(2**20), Q + 1], 6),
+    ([2**40 * Q, 2**40 + Q], None),
+    *(case for width in range(1, 9) for case in _square_edges(width)),
+]
 
 
 def test_slot_width_follows_the_bound():
-    for width, weights in _WIDTH_CASES.items():
+    for weights, width in _WIDTH_CASES:
         assert _slot_bytes(WeightVector(tuple(weights)), 2) == width
 
 
+@pytest.mark.parametrize("n, width", [(9, 1), (10, 2)])
+def test_first_kind_slot_holds_the_central_binomial(monkeypatch, n, width):
+    # e_j(q, .., q) = comb(n, j) q^j, so the first kind's bound comb(n, n // 2)
+    # is reached: 126 fits a byte at n = 9, 252 needs two at n = 10
+    w = WeightVector((Q,) * n)
+    assert _slot_bytes(w, n, "first") == width
+
+    def first_kind_values():
+        values = [first_kind_table(w, n), last_box_table(w, n, "first"), last_box_row(w, n, "first")]
+        return values + [[first_kind(w, j) for j in range(n + 1)], last_box_identity(w, n, "first")]
+
+    packed = first_kind_values()
+    assert packed[0][n][n // 2] == math.comb(n, n // 2) * qpow(n // 2)
+    _forced_onto_scalars(monkeypatch)
+    assert _typed(packed) == _typed(first_kind_values())
+
+
+def test_first_kind_table_over_forty_q_powers_takes_the_packed_ring(monkeypatch):
+    # e_k(1, q, .., q^39) sums at most comb(40, 20) products (38 bits): a slot
+    # of 5 bytes, where the second kind's comb(79, 40) (76 bits) is past 8
+    w = qpowers(40)
+    assert _slot_bytes(w, 40, "first") == 5
+    assert _slot_bytes(w, 40) is None
+    packed = first_kind_table(w, 40)
+    _forced_onto_scalars(monkeypatch)
+    assert _typed(packed) == _typed(first_kind_table(w, 40))
+
+
 def _with_edge_cases(test):
-    for weights in _WIDTH_CASES.values():
+    for weights, _ in _WIDTH_CASES:
         test = example(weights, 2)(test)
     # h_7 of six copies of +-q is +-792 q^7: the comb(n+k-1, k) term of the
     # bound takes the slot from 1 byte (M^k = 1) to 2

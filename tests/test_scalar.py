@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triads import scalar
 from triads.poly import P_ONE, Poly, parse_poly
@@ -568,8 +568,20 @@ def _spy(monkeypatch, name):
         (127, 1, 1),  # the central coefficient is +-127, the bound of a signed byte
         (128, 1, 2),
         (14, 48, 2),  # bound 48^2 * 14 = 32256, just under 2^15
+        # at length 8 the bound is 8 * m^2: m = 2^(4w - 2) puts it at 2^(8w - 1),
+        # the first bound past a slot of w bytes, and m - 1 just inside it
+        (8, 2**6, 3),
+        (8, 2**10 - 1, 3),
         (8, 2**12, 4),
-        (8, 2**25, 8),
+        (8, 2**14 - 1, 4),
+        (8, 2**14, 5),
+        (8, 2**18 - 1, 5),
+        (8, 2**18, 6),
+        (8, 2**22 - 1, 6),
+        (8, 2**22, 7),
+        (8, 2**25, 7),
+        (8, 2**26 - 1, 7),
+        (8, 2**26, 8),
         (8, 2**40, 11),
         (8, 2**70, 19),
     ],
@@ -584,6 +596,47 @@ def test_product_slot_widths(monkeypatch, length, magnitude, width):
         assert (QPoly(a) * QPoly(b)).coeffs == tuple(schoolbook_product(a, b))
     assert {w for _, w in packs} == {width}
     assert len(packs) == 6
+
+
+@st.composite
+def packed_slots(draw):
+    """A slot width of 1 to 16 bytes and a canonical int tuple that fits it, extremes included."""
+    width = draw(st.integers(1, 16))
+    top = 2 ** (8 * width - 1) - 1
+    value = st.one_of(st.integers(-top, top), st.sampled_from((top, -top, 0, 1, -1)))
+    cs = draw(st.lists(value, min_size=1, max_size=40))
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return width, tuple(cs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(packed_slots())
+@example((3, (2**23 - 1, -(2**23 - 1), 0, 1)))
+@example((5, (-1,) * 7))
+@example((7, (0, 2**55 - 1)))
+@example((16, (-(2**127 - 1),)))
+def test_digits_read_back_every_evaluation(case):
+    width, cs = case
+    assert scalar._digits(scalar._evaluate(cs, width), width) == cs
+
+
+@pytest.mark.parametrize("width", [3, 5, 6, 7])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_kronecker_product_at_odd_slot_widths(width, data):
+    # the largest magnitude m whose bound m^2 * length still fits the slot,
+    # reached by at least one coefficient of each operand
+    la, lb = data.draw(st.integers(5, 24)), data.draw(st.integers(5, 24))
+    m = isqrt((2 ** (8 * width - 1) - 1) // min(la, lb))
+    operand = st.lists(st.integers(-m, m), min_size=la, max_size=la)
+    a = data.draw(operand)
+    b = data.draw(st.lists(st.integers(-m, m), min_size=lb, max_size=lb))
+    a[data.draw(st.integers(0, la - 1))] = data.draw(st.sampled_from((m, -m)))
+    b[-1] = data.draw(st.sampled_from((m, -m)))
+    assert scalar._slot_width(m * m * min(la, lb)) == width
+    for x, y in ((a, b), ([m] * la, [m] * lb), ([-m] * la, [m] * lb)):
+        assert scalar._kronecker_mul(tuple(x), tuple(y)) == QPoly(schoolbook_product(x, y)).coeffs
 
 
 def _sparse(length, nonzeros, rng):
@@ -689,7 +742,17 @@ def test_matrix_product_depth_zero():
         (127, 1, 1, 1),  # every coefficient of the sum is the bound 127, a signed byte's largest
         (128, 1, 1, 2),
         (2, 127, 1, 2),  # 2 * 127^2 = 32258, just under 2^15
-        (3, 127, 1, 4),
+        (3, 127, 1, 3),
+        (2, 2**11 - 1, 1, 3),  # 2 * (2^11 - 1)^2, just under 2^23
+        (2, 2**11, 1, 4),
+        (2, 2**15 - 1, 1, 4),  # just under 2^31
+        (2, 2**15, 1, 5),
+        (2, 2**19 - 1, 1, 5),
+        (2, 2**19, 1, 6),
+        (2, 2**23 - 1, 1, 6),
+        (2, 2**23, 1, 7),
+        (2, 2**27 - 1, 1, 7),
+        (2, 2**27, 1, 8),
         (1, 2**31 - 1, 1, 8),
         (2, 2**31, 1, 9),
         (3, 2**31 - 1, 5, 9),

@@ -5,8 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triads.poly import P_ONE, Poly, X
-from triads.scalar import ONE, Q, ZERO, as_scalar, qpow
+from triads import triad
+from triads.poly import P_ONE, DegreeLimitError, Poly, X
+from triads.scalar import ONE, Q, QPoly, Scalar, ZERO, as_scalar, qpow
 from triads.triad import (
     SingularTriadError,
     TriadSpec,
@@ -177,3 +178,174 @@ def test_spec_from_json_errors():
 def test_builtin_lookup():
     assert load_spec("pascal").name == "pascal"
     assert load_spec("gauss").name == "gauss"
+
+
+# -- the packed recurrences ------------------------------------------------------
+
+def _interleaved_table(spec, rows):
+    """The triangle by Scalar arithmetic, each sequence value read where the recurrence uses it."""
+    if rows < 0:
+        raise ValueError("row count must be nonnegative")
+    table = [[ONE]]
+    for n in range(rows):
+        prev = table[n]
+        row = []
+        for k in range(n + 2):
+            value = ZERO
+            if k >= 1:
+                value = value + spec.i_seq(k - 1) * prev[k - 1]
+            if k <= n:
+                value = value + spec.q_seq(k) * prev[k]
+            if k + 1 <= n:
+                value = value + spec.d_seq(k + 1) * prev[k + 1]
+            row.append(value)
+        table.append(row)
+    return [tuple(row) for row in table]
+
+
+def _interleaved_duals(spec, count):
+    """phi_0 .. phi_count by Poly arithmetic, each sequence value read where the recurrence uses it."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    phis = [P_ONE]
+    for k in range(count):
+        ik = spec.i_seq(k)
+        if ik.is_zero():
+            raise SingularTriadError(k)
+        top = phis[k].times_x() - phis[k].scale(spec.q_seq(k))
+        if k >= 1:
+            top = top - phis[k - 1].scale(spec.d_seq(k))
+        phis.append(top.scale(ONE / ik))
+    return phis
+
+
+def _typed(scalars):
+    return [[(c, type(c)) for c in s.num.coeffs] + [(c, type(c)) for c in s.den.coeffs] for s in scalars]
+
+
+def _outcome(compute):
+    """The value ``compute()`` returns, or the type and message of what it raises."""
+    try:
+        return compute()
+    except (ArithmeticError, LookupError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _forced_onto_scalars(monkeypatch):
+    monkeypatch.setattr(triad, "_packed_terms", lambda sequences, bound: None)
+
+
+def _spy_packed(monkeypatch):
+    """The results of ``_packed_terms``, recorded as the recurrences call it."""
+    results = []
+    real = triad._packed_terms
+
+    def spy(sequences, bound):
+        results.append(real(sequences, bound))
+        return results[-1]
+
+    monkeypatch.setattr(triad, "_packed_terms", spy)
+    return results
+
+
+wide_int_polynomials = st.integers(0, 40).flatmap(
+    lambda bits: st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=6)
+).map(lambda cs: Scalar(QPoly(cs)))
+
+
+@st.composite
+def unit_i_specs(draw):
+    """Lists of exactly ``rows`` entries: i = +-1, q and d int q-polynomials, d(k) != 0 for k >= 1."""
+    rows = draw(st.integers(0, 12))
+    i_seq = draw(st.lists(st.sampled_from((ONE, -ONE)), min_size=rows, max_size=rows))
+    q_seq = draw(st.lists(wide_int_polynomials, min_size=rows, max_size=rows))
+    d_seq = draw(st.lists(wide_int_polynomials.filter(lambda s: not s.is_zero()), min_size=rows, max_size=rows))
+    return TriadSpec.of(i_seq, q_seq, d_seq), rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(unit_i_specs())
+def test_packed_recurrences_match_the_scalar_loops(case):
+    spec, rows = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        packed = _spy_packed(monkeypatch)
+        table, phis = coefficient_table(spec, rows), dual_polynomials(spec, rows)
+        assert len(packed) == 2 and None not in packed
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _forced_onto_scalars(monkeypatch)
+        scalar_table, scalar_phis = coefficient_table(spec, rows), dual_polynomials(spec, rows)
+    assert [_typed(row) for row in table.rows] == [_typed(row) for row in scalar_table.rows]
+    assert [_typed(phi.coeffs) for phi in phis] == [_typed(phi.coeffs) for phi in scalar_phis]
+    assert list(table.rows) == _interleaved_table(spec, rows)
+    assert phis == _interleaved_duals(spec, rows)
+
+
+def test_i_off_plus_minus_one_or_off_int_polynomials_takes_the_scalar_loops(monkeypatch):
+    packed = _spy_packed(monkeypatch)
+    for spec in (
+        TriadSpec.of([1, 2, 1], [Q, 1, 2], [0, 1, Q]),
+        TriadSpec.of(1, [Q, ONE / (ONE + Q), 2], 1),
+        TriadSpec.of(1, 0, [0, Q / 2, 1]),
+    ):
+        assert list(coefficient_table(spec, 3).rows) == _interleaved_table(spec, 3)
+        assert dual_polynomials(spec, 3) == _interleaved_duals(spec, 3)
+    # the triangle reads no i off +-1 and packs the first spec; the duals do not
+    assert [result is None for result in packed] == [False, True, True, True, True]
+
+
+@st.composite
+def short_specs(draw):
+    """Specs whose sequences may run short, each naming itself when it does, and whose i may be zero anywhere."""
+    rows = draw(st.integers(0, 8))
+    entries = st.one_of(st.sampled_from((ZERO, ONE, -ONE, Q, 2 * Q - 1)), wide_int_polynomials)
+
+    def sequence(name, values):
+        values = draw(st.lists(values, min_size=max(rows - 2, 0), max_size=rows + 1))
+
+        def rule(k):
+            if k >= len(values):
+                raise IndexError(f"{name}({k}) is not given")
+            return values[k]
+
+        return rule
+
+    i_seq = sequence("i", st.one_of(st.sampled_from((ONE, -ONE, ZERO)), entries))
+    return TriadSpec(i_seq, sequence("q", entries), sequence("d", entries)), rows
+
+
+@settings(deadline=None, max_examples=100)
+@given(short_specs())
+def test_reads_and_errors_follow_the_interleaved_loops(case):
+    spec, rows = case
+    table = _outcome(lambda: list(coefficient_table(spec, rows).rows))
+    assert table == _outcome(lambda: _interleaved_table(spec, rows))
+    assert _outcome(lambda: dual_polynomials(spec, rows)) == _outcome(lambda: _interleaved_duals(spec, rows))
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_recurrence_edges(monkeypatch, forced):
+    if forced:
+        _forced_onto_scalars(monkeypatch)
+    # a zero i(3) is met before q(3), past the end of a list of 3
+    with pytest.raises(SingularTriadError) as info:
+        dual_polynomials(TriadSpec.of([1, -1, 1, 0, 1], [Q, 1, 2], 1), 5)
+    assert info.value.k == 3
+    # lists of exactly `rows` entries suffice; one fewer fails on the same entry
+    exact = TriadSpec.of([1, -1] * 3, [Q + k for k in range(6)], [0] + [2 * Q] * 5)
+    assert coefficient_table(exact, 6).rows == tuple(_interleaved_table(exact, 6))
+    assert dual_polynomials(exact, 6) == _interleaved_duals(exact, 6)
+    short = TriadSpec.of([1, -1] * 3, [Q + k for k in range(5)], [0] + [2 * Q] * 5)
+    for recurrence in (coefficient_table, dual_polynomials):
+        with pytest.raises(IndexError, match="^coefficient sequence of length 5 has no entry 5$"):
+            recurrence(short, 6)
+    # the degree cap, and the smallest and negative sizes
+    for spec in (pascal_spec(), TriadSpec.of(2, Q, 1)):
+        with pytest.raises(DegreeLimitError, match="^degree 65 exceeds cap 64$"):
+            dual_polynomials(spec, 65)
+        assert len(dual_polynomials(spec, 64)) == 65
+        assert coefficient_table(spec, 0).rows == ((ONE,),)
+        assert dual_polynomials(spec, 0) == [P_ONE]
+        with pytest.raises(ValueError, match="^row count must be nonnegative$"):
+            coefficient_table(spec, -1)
+        with pytest.raises(ValueError, match="^count must be nonnegative$"):
+            dual_polynomials(spec, -1)
