@@ -36,21 +36,21 @@ coefficients and nnz(a) * nnz(b) >= C * (len(a) + len(b)), where C is
 Fraction coefficient, is the schoolbook double loop over nonzero
 coefficients.  All three give the same canonical tuple.
 
-:func:`matrix_product` multiplies two matrices of Scalars on the same
-signed-slot packing.  When every entry is a polynomial with int
-coefficients, it picks one slot width for the whole product, evaluates
-each entry once, forms each sum_k A[n][k] * B[k][j] as a sum of int
-products and reads its digits once; otherwise it folds Scalar products,
-which give the same canonical values.  :func:`packed_products` hands the
-same packing to code that runs its own sums and products of ints: the
-weighted-coefficient passes, enumerations and triangle of ``konvalina``
-over weights that are polynomials with int coefficients.
-:func:`_packed_terms` hands it to the triad recurrences, with each value
-q^e * p as the pair (p packed, shift), so that a product by a monomial
-c*q^e is a product by c and a shift.  Every slot is exactly as many bytes
-as its bound needs: 1, 2, 4 and 8 bytes are array items, 3, 5, 6 and 7
-bytes are copied out of 8-byte items with strided slices, and wider slots
-pack each coefficient with ``int.to_bytes``.
+:func:`matrix_product` multiplies two matrices of Scalars by folding
+Scalar products entry by entry; the triad connection check reaches it
+only for a spec off its packed path or for a row that fails there.
+:func:`packed_products` hands the signed-slot packing to code that runs
+its own sums and products of ints: the weighted-coefficient passes,
+enumerations and triangle of ``konvalina`` over weights that are
+polynomials with int coefficients.  :func:`_packed_factors` hands it to
+the triad recurrences, with each value q^e * p as the pair (p packed,
+shift), so that a product by a monomial c*q^e is a product by c and a
+shift; it packs at q = +2^(8w) or at q = -2^(8w), where the coefficient of
+q^m takes the sign (-1)^m.  :func:`_packed_terms` picks the slot for a
+recurrence whose values are read back.  Every slot is exactly as many
+bytes as its bound needs: 1, 2, 4 and 8 bytes are array items, 3, 5, 6
+and 7 bytes are copied out of 8-byte items with strided slices, and wider
+slots pack each coefficient with ``int.to_bytes``.
 
 Printing: integers print bare ("5"), polynomials as canonical
 ascending-power strings ("1 + q - 2*q^3"), quotients as "num / den" with
@@ -609,39 +609,17 @@ def matrix_product(a_rows: list, b_rows: list) -> list[tuple]:
     """The rows of A * B for ragged matrices of Scalars, missing entries zero.
 
     Row n of the product is sum_k A[n][k] * B[k] over k < len(A[n]), as long
-    as the longest of those rows of B.  When every entry is a polynomial
-    with int coefficients, one slot width serves the whole product: term k
-    adds at most max|A[.][k]| * max|B[k][.]| * min(q-length) to a
-    coefficient, and the sum over k bounds them all.  Each entry of B is
-    then evaluated at q = 2^(8 * width) once, up front, and the entries of
-    a row of A once, while that row is multiplied; every sum over k is a
-    sum of int products, and its digits are read once.  Any
-    other entry -- a denominator or a Fraction coefficient -- sends the
-    whole product to the Scalar fold, which gives the same canonical values.
+    as the longest of those rows of B, folded entry by entry in Scalar
+    arithmetic.
     """
-    if not all(_int_polynomial(s) for row in (*a_rows, *b_rows) for s in row):
-        return _fold_product(a_rows, b_rows)
-    columns = max(map(len, a_rows), default=0)
-    a_mag, a_len = [0] * columns, [0] * columns
-    for row in a_rows:
-        for k, s in enumerate(row):
-            a_mag[k] = max(a_mag[k], _magnitude(s.num.coeffs))
-            a_len[k] = max(a_len[k], len(s.num.coeffs))
-    b_mag = [max((_magnitude(s.num.coeffs) for s in row), default=0) for row in b_rows]
-    b_len = [max((len(s.num.coeffs) for s in row), default=0) for row in b_rows]
-    bound = sum(a * b * min(la, lb) for a, la, b, lb in zip(a_mag, a_len, b_mag, b_len))
-    # every entry is packed too, including one whose partners are all zero
-    width = _slot_width(max((bound, *a_mag, *b_mag)))
-    # b_cols[j][k] is B[k][j] evaluated, zero past the end of row k
-    b_cols = [[0] * len(b_rows) for _ in range(max(map(len, b_rows), default=0))]
-    for k, row in enumerate(b_rows):
-        for j, s in enumerate(row):
-            b_cols[j][k] = _evaluate(s.num.coeffs, width)
     out = []
     for row in a_rows:
-        values = [_evaluate(s.num.coeffs, width) for s in row]
-        length = max(map(len, b_rows[: len(row)]), default=0)
-        out.append(tuple(_packed_scalar(sum(map(mul, values, b_cols[j])), width) for j in range(length)))
+        acc = [ZERO] * max(map(len, b_rows[: len(row)]), default=0)
+        for a, b_row in zip(row, b_rows):
+            if a:
+                for j, b in enumerate(b_row):
+                    acc[j] = acc[j] + a * b
+        out.append(tuple(acc))
     return out
 
 
@@ -680,51 +658,63 @@ def packed_products(
     return [_evaluate(s.num.coeffs, width) for s in scalars], lambda value: _packed_scalar(value, width)
 
 
+def _l1_norms(sequences: Sequence[Sequence[Scalar]]) -> list[list[int]] | None:
+    """The l1 norm of each scalar's coefficients, one list per sequence.
+
+    None unless every scalar is a polynomial with int coefficients.
+    """
+    if not all(_int_polynomial(s) for seq in sequences for s in seq):
+        return None
+    return [[sum(map(abs, s.num.coeffs)) for s in seq] for seq in sequences]
+
+
+def _packed_factors(sequences: Sequence[Sequence[Scalar]], width: int, sign: int = 1) -> list[list[tuple[int, int]]]:
+    """Each int q-polynomial of each sequence as a packed factor at q = sign * 2^(8 * width).
+
+    A scalar q^e * p, with p's constant coefficient nonzero, becomes the
+    pair (p evaluated at q = 2^(8 * width), 8 * width * e), so the packed
+    image of a monomial c*q^e is (c, 8 * width * e).  At q = -2^(8 * width)
+    each coefficient of q^m takes the sign (-1)^m first, which turns the
+    pair into ((-1)^e * p(-2^(8 * width)), 8 * width * e).  Every
+    coefficient must fit the slot.
+    """
+    shift = 8 * width
+    factors = []
+    for seq in sequences:
+        row = []
+        for s in seq:
+            cs = s.num.coeffs
+            if sign < 0:
+                cs = tuple(-c if m & 1 else c for m, c in enumerate(cs))
+            e = next((i for i, c in enumerate(cs) if c), 0)
+            row.append((_evaluate(cs[e:], width), shift * e))
+        factors.append(row)
+    return factors
+
+
+def _packed_times(pair: tuple[int, int], value: int) -> int:
+    """The packed image of a packed factor times a packed value: for a monomial, a product by c and a shift."""
+    return value * pair[0] << pair[1]
+
+
 def _packed_terms(
     sequences: Sequence[Sequence[Scalar]], bound: Callable[..., int]
-) -> tuple[list[list[tuple[int, int]]], Callable[[tuple[int, int], int], int], Callable[[int], Scalar]] | None:
+) -> tuple[list[list[tuple[int, int]]], Callable[[int], Scalar]] | None:
     """The scalars of each sequence as packed factors, for a recurrence that multiplies by them.
 
     ``bound`` is called with the l1 norms of the scalars' coefficients, one
     list per sequence, and returns a bound on the coefficients of every
     value the recurrence reads back.  When every scalar is a polynomial
     with int coefficients, the slot holds that bound and the scalars' own
-    coefficients.  A scalar q^e * p, with p's constant coefficient nonzero,
-    is returned as the pair (p evaluated at q = 2^(8 * width), 8 * width * e),
-    so the packed image of a monomial c*q^e is (c, 8 * width * e).  Also
-    returned are ``times``, which maps a pair and the packed image of a
-    polynomial to the packed image of their product -- for a monomial, a
-    product by c and a shift -- and the map that reads a packed value back
-    as a canonical Scalar.  Otherwise None.
+    coefficients, and each scalar is a pair of :func:`_packed_factors` at
+    q = 2^(8 * width), for :func:`_packed_times`.  Also returned is the map
+    that reads a packed value back as a canonical Scalar.  Otherwise None.
     """
-    if not all(_int_polynomial(s) for seq in sequences for s in seq):
+    norms = _l1_norms(sequences)
+    if norms is None:
         return None
-    norms = [[sum(map(abs, s.num.coeffs)) for s in seq] for seq in sequences]
     width = _slot_width(max((bound(*norms), *(_magnitude(s.num.coeffs) for seq in sequences for s in seq))))
-    shift = 8 * width
-
-    def factor(cs: tuple) -> tuple[int, int]:
-        e = next((i for i, c in enumerate(cs) if c), 0)
-        return _evaluate(cs[e:], width), shift * e
-
-    return (
-        [[factor(s.num.coeffs) for s in seq] for seq in sequences],
-        lambda pair, value: value * pair[0] << pair[1],
-        lambda value: _packed_scalar(value, width),
-    )
-
-
-def _fold_product(a_rows: list, b_rows: list) -> list[tuple]:
-    """:func:`matrix_product` by Scalar arithmetic, entry by entry."""
-    out = []
-    for row in a_rows:
-        acc = [ZERO] * max(map(len, b_rows[: len(row)]), default=0)
-        for a, b_row in zip(row, b_rows):
-            if a:
-                for j, b in enumerate(b_row):
-                    acc[j] = acc[j] + a * b
-        out.append(tuple(acc))
-    return out
+    return _packed_factors(sequences, width), lambda value: _packed_scalar(value, width)
 
 
 # -- text form -------------------------------------------------------------

@@ -12,12 +12,12 @@ drive two recurrences that are dual to each other:
     solved for phi_{k+1}, which requires i(k) != 0.
 
 The two are linked by the connection identity x^n = sum_k c[n][k]*phi_k,
-which :func:`verify_connection` checks as one matrix product C * Phi.
+which :func:`verify_connection` checks for every n <= N.
 
 Each recurrence reads every sequence value it needs once, in the order it
 first needs it, and runs on packed native ints when every value read is a
 polynomial in q with int coefficients and, for the dual recurrence, every
-i(k) is 1 or -1 (so 1/i(k) = i(k)).  ``scalar._packed_terms`` evaluates
+i(k) is 1 or -1 (so 1/i(k) = i(k)).  ``scalar._packed_factors`` evaluates
 each value once at q = 2^(8w): a monomial c*q^e becomes a product by c and
 a shift by 8we.  The slot width w comes from the same recurrence run over
 the l1 norms |.|_1 of the values' coefficients,
@@ -26,18 +26,44 @@ and the same rule for the coefficients of phi_{k+1}; the slot also holds
 the values themselves.  Each cell or coefficient is read back once as a
 canonical Scalar, equal to what the Scalar loop gives.  Any other spec
 runs the Scalar loop.
+
+When both recurrences run packed, the connection check reads nothing
+back.  B bounds every coefficient of every sum_k c[n][k]*Phi[k][j], where
+Phi[k][j] is the x^j coefficient of phi_k, from the same recurrences over
+the l1 norms; with w = _slot_width(B) and h = ceil(w/2) bytes, both
+recurrences run on the values packed at q = +2^(8h) and at q = -2^(8h),
+and each row of C * Phi must be the unit row of x^n at both points.  Two
+points with half a slot each are exact: for a polynomial S whose
+coefficients are below 2^(16h) in magnitude, S(2^(8h)) = S(-2^(8h)) = 0
+puts both its even and its odd part to zero at 2^(16h), so S = 0.  Each
+product has half the bits of a product at q = 2^(8w), and two of those
+cost less than one of these (Harvey's two-point Kronecker substitution).
+A spec off that path, or a row that differs, takes the matrix product of
+the Scalar triangle and dual polynomials, which names the failing rows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import mul
+from operator import add, lshift, mul
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .poly import P_ONE, P_ZERO, Poly, _check_degree, x_power
-from .scalar import ONE, Scalar, ZERO, _packed_terms, as_scalar, matrix_product, qpow
+from .scalar import (
+    ONE,
+    Scalar,
+    ZERO,
+    _l1_norms,
+    _packed_factors,
+    _packed_terms,
+    _packed_times,
+    _slot_width,
+    as_scalar,
+    matrix_product,
+    qpow,
+)
 
 SequenceRule = Callable[[int], Scalar]
 
@@ -111,6 +137,16 @@ class TriadTable:
 
 def coefficient_table(spec: TriadSpec, rows: int) -> TriadTable:
     """Fill the coefficient triangle through the given row count."""
+    sequences = _triangle_values(spec, rows)
+    packed = _packed_terms(sequences, lambda *norms: max(map(max, _triangle(*norms, rows, 0, 1, mul))))
+    if packed is None:
+        return TriadTable(_triangle(*sequences, rows, ZERO, ONE, mul))
+    terms, read = packed
+    return TriadTable([list(map(read, row)) for row in _triangle(*terms, rows, 0, 1, _packed_times)])
+
+
+def _triangle_values(spec: TriadSpec, rows: int) -> tuple[list, list, list]:
+    """The values i, q and d the triangle reads through ``rows`` rows, d(0) standing in as zero."""
     if rows < 0:
         raise ValueError("row count must be nonnegative")
     # coefficients multiplying out-of-triangle (zero) entries are never
@@ -123,12 +159,7 @@ def coefficient_table(spec: TriadSpec, rows: int) -> TriadTable:
             d_vals.append(spec.d_seq(m))
         q_vals.append(spec.q_seq(m))
         i_vals.append(spec.i_seq(m))
-    sequences = (i_vals, q_vals, d_vals)
-    packed = _packed_terms(sequences, lambda *norms: max(map(max, _triangle(*norms, rows, 0, 1, mul))))
-    if packed is None:
-        return TriadTable(_triangle(*sequences, rows, ZERO, ONE, mul))
-    terms, times, read = packed
-    return TriadTable([list(map(read, row)) for row in _triangle(*terms, rows, 0, 1, times)])
+    return i_vals, q_vals, d_vals
 
 
 def _triangle(i: Sequence, q: Sequence, d: Sequence, rows: int, zero, one, times: Callable) -> list[list]:
@@ -157,6 +188,28 @@ def _triangle(i: Sequence, q: Sequence, d: Sequence, rows: int, zero, one, times
 
 def dual_polynomials(spec: TriadSpec, count: int) -> list[Poly]:
     """The polynomials phi_0 .. phi_count generated by the dual recurrence."""
+    i_vals, q_vals, d_vals = _dual_values(spec, count)
+    signed = _unit_dual_sequences(i_vals, q_vals, d_vals)
+    if signed is not None:
+        packed = _packed_terms(signed, lambda *norms: max(map(max, _dual_rows(*norms, count, mul))))
+        if packed is not None:
+            terms, read = packed
+            phis = _dual_rows(*terms, count, _packed_times)
+            return [P_ONE] + [Poly._raw(tuple(map(read, phi))) for phi in phis[1:]]
+    phis = [P_ONE]
+    prev = P_ZERO
+    for k in range(count):
+        current = phis[k]
+        top = current.times_x() - current.scale(q_vals[k])
+        if k >= 1:
+            top = top - prev.scale(d_vals[k])
+        phis.append(top.scale(ONE / i_vals[k]))
+        prev = current
+    return phis
+
+
+def _dual_values(spec: TriadSpec, count: int) -> tuple[list, list, list]:
+    """The values i, q and d the dual recurrence reads for phi_0 .. phi_count, d(0) standing in as zero."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     # read in the recurrence's order, with its checks: a zero i(k) before
@@ -171,26 +224,17 @@ def dual_polynomials(spec: TriadSpec, count: int) -> list[Poly]:
         q_vals.append(spec.q_seq(k))
         if k >= 1:
             d_vals.append(spec.d_seq(k))
-    # with i(k) = +-1, 1/i(k) = i(k): phi_{k+1} = i(k)*(x*phi_k - q(k)*phi_k - d(k)*phi_{k-1})
-    if all(ik in _UNITS for ik in i_vals):
-        packed = _packed_terms(
-            (i_vals, [-v for v in q_vals], [-v for v in d_vals]),
-            lambda *norms: max(map(max, _dual_rows(*norms, count, mul))),
-        )
-        if packed is not None:
-            terms, times, read = packed
-            phis = _dual_rows(*terms, count, times)
-            return [P_ONE] + [Poly._raw(tuple(map(read, phi))) for phi in phis[1:]]
-    phis = [P_ONE]
-    prev = P_ZERO
-    for k in range(count):
-        current = phis[k]
-        top = current.times_x() - current.scale(q_vals[k])
-        if k >= 1:
-            top = top - prev.scale(d_vals[k])
-        phis.append(top.scale(ONE / i_vals[k]))
-        prev = current
-    return phis
+    return i_vals, q_vals, d_vals
+
+
+def _unit_dual_sequences(i_vals: list, q_vals: list, d_vals: list) -> tuple[list, list, list] | None:
+    """(i, -q, -d), the values :func:`_dual_rows` multiplies by, when every i(k) is +-1; otherwise None.
+
+    With i(k) = +-1, 1/i(k) = i(k): phi_{k+1} = i(k)*(x*phi_k - q(k)*phi_k - d(k)*phi_{k-1}).
+    """
+    if not all(ik in _UNITS for ik in i_vals):
+        return None
+    return i_vals, [-v for v in q_vals], [-v for v in d_vals]
 
 
 def _dual_rows(i: Sequence, q: Sequence, d: Sequence, count: int, times: Callable) -> list[list]:
@@ -234,24 +278,122 @@ class SuiteResult:
 def verify_connection(spec: TriadSpec, rows: int) -> SuiteResult:
     """Check x^n = sum_k c[n][k]*phi_k exactly for each n <= rows.
 
-    Row n of the matrix product C * Phi, where C is the coefficient triangle
-    and Phi[k][j] is the x^j coefficient of phi_k, is compared with x^n
-    entry by entry; the residual polynomial is built only for a row that
-    differs.  One FAIL line per row n whose residual is nonzero; one PASS
-    line if none.
+    Row n of the matrix product C * Phi, where C is the coefficient
+    triangle and Phi[k][j] is the x^j coefficient of phi_k, must be the
+    coefficient row of x^n.  The sequence values are read as
+    :func:`coefficient_table` and then :func:`dual_polynomials` read them,
+    so a failing read raises the same error.  When both recurrences run
+    packed, :func:`_connection_at_two_points` checks every row on their
+    packed ints and reads nothing back: B bounds every coefficient of every
+    sum_k c[n][k]*Phi[k][j], both recurrences run at q = +2^b and at
+    q = -2^b with 2b bits enough for B, and a row equal to that of x^n at
+    both points is x^n, since the two values give the even and the odd
+    part of the row at 4^b.  A spec off that path, or a row that differs
+    there, takes the Scalar route: C * Phi by :func:`matrix_product`,
+    compared with x^n entry by entry, with the residual polynomial built
+    only for a row that differs.  One FAIL line per row n whose residual
+    is nonzero; one PASS line if none.
     """
-    table = coefficient_table(spec, rows)
-    phis = dual_polynomials(spec, rows)
+    values = _triangle_values(spec, rows)
+    dual_values = _dual_values(spec, rows)
     report = SuiteResult(f"connection {spec.name or 'spec'}")
-    for n, row in enumerate(matrix_product(table.rows, [phi.coeffs for phi in phis])):
-        target = x_power(n)
-        if row != target.coeffs:
-            residual = Poly(row) - target
-            if not residual.is_zero():
-                report.check(False, f"n={n}: residual {residual}")
+    if not _connection_at_two_points(values, dual_values, rows):
+        table = coefficient_table(spec, rows)
+        phis = dual_polynomials(spec, rows)
+        for n, row in enumerate(matrix_product(table.rows, [phi.coeffs for phi in phis])):
+            target = x_power(n)
+            if row != target.coeffs:
+                residual = Poly(row) - target
+                if not residual.is_zero():
+                    report.check(False, f"n={n}: residual {residual}")
     if not report.lines:
         report.check(True, f"x^n recovered for all n <= {rows}")
     return report
+
+
+def _connection_at_two_points(values: tuple, dual_values: tuple, rows: int) -> bool:
+    """True when every row n <= rows of C * Phi is x^n, checked at q = 2^(8h) and at q = -2^(8h).
+
+    Runs when every value read is a polynomial with int coefficients and
+    every i(k) of the duals is +-1; otherwise, or when a row differs, it is
+    False.  The recurrences run over the values' l1 norms bound the l1
+    norm of every cell of C and of every coefficient of Phi, and so B, the
+    largest of those bounds, of the values' own norms and of every
+    sum_k |c[n][k]|_1 * |Phi[k][j]|_1, bounds every coefficient of the
+    q-polynomial S = sum_k c[n][k] * Phi[k][j].  With w = _slot_width(B)
+    bytes, B < 2^(8w - 1); the half slot h = ceil(w/2) bytes, widened if
+    needed to hold every value's coefficients, gives b = 8h bits with
+    |S - delta| <= B + 1 <= 2^(2b - 1).  Both recurrences run unchanged on
+    the values packed at q = 2^b and then at q = -2^b, and
+    :func:`_is_inverse_pair` checks S(2^b) = S(-2^b) = delta, where delta
+    is 1 for j = n and 0 otherwise.  That is exact: writing
+    S - delta = E(q^2) + q*O(q^2), the two equations give E(4^b) = 0 and
+    O(4^b) = 0, and a polynomial whose coefficients are all below 4^b in
+    magnitude vanishes at 4^b only if it is zero.  Each product at the two
+    points has about half the bits of one at q = 2^(8w).
+    """
+    signed = _unit_dual_sequences(*dual_values)
+    norms = None if signed is None else _l1_norms((*values, *signed))
+    if norms is None:
+        return False
+    value_bound = max(max(seq, default=0) for seq in norms)
+    half = max(-(-_slot_width(_connection_bound(norms, rows)) // 2), _slot_width(value_bound))
+    for sign in (1, -1):
+        table = _triangle(*_packed_factors(values, half, sign), rows, 0, 1, _packed_times)
+        phis = _dual_rows(*_packed_factors(signed, half, sign), rows, _packed_times)
+        if not _is_inverse_pair(table, phis):
+            return False
+    return True
+
+
+def _connection_bound(norms: list[list[int]], rows: int) -> int:
+    """B for :func:`_connection_at_two_points`, from the l1 norms of i, q, d and of i, -q, -d of the duals.
+
+    The largest of the norms, of the two recurrences run over them, and of
+    every sum_k |c[n][k]|_1 * |Phi[k][j]|_1 over the bounds they give.
+    """
+    table_bounds = _triangle(*norms[:3], rows, 0, 1, mul)
+    phi_bounds = _dual_rows(*norms[3:], rows, mul)
+    return max(
+        *(max(seq, default=0) for seq in norms),
+        *map(max, table_bounds),
+        *map(max, phi_bounds),
+        *map(max, _lower_product(table_bounds, phi_bounds)),
+    )
+
+
+def _is_inverse_pair(a_rows: list[list[int]], b_rows: list[list[int]]) -> bool:
+    """True iff the lower-triangular int matrices A and B have A * B = I.
+
+    Row n of each has n + 1 entries, and A has no more rows than B.
+    """
+    return all(row == [0] * n + [1] for n, row in enumerate(_lower_product(a_rows, b_rows)))
+
+
+def _lower_product(a_rows: list[list[int]], b_rows: list[list[int]]):
+    """Row n of A * B for lower-triangular int matrices, one row at a time: sum_{k=j..n} A[n][k]*B[k][j] for j <= n.
+
+    Each entry is split into its odd part and a power of two, so trailing
+    zero bits -- the q-valuation of an entry at q = +-2^b -- cost no
+    product bits: a term is the product of the odd parts, shifted.
+    """
+    b_cols = [_split_twos([row[j] for row in b_rows[j:]]) for j in range(len(b_rows))]
+    for row in a_rows:
+        odd, twos = _split_twos(row)
+        yield [
+            sum(map(lshift, map(mul, odd[j:], b_odd), map(add, twos[j:], b_twos)))
+            for j, (b_odd, b_twos) in enumerate(b_cols[: len(row)])
+        ]
+
+
+def _split_twos(values: list[int]) -> tuple[list[int], list[int]]:
+    """The odd part of each int and its power of two, as two lists; zero is (0, 0)."""
+    odd, twos = [], []
+    for v in values:
+        t = (v & -v).bit_length() - 1 if v else 0
+        odd.append(v >> t)
+        twos.append(t)
+    return odd, twos
 
 
 def verify_degrees(spec: TriadSpec, count: int) -> bool:

@@ -3,12 +3,13 @@
 import argparse
 import json
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 from triads import cli, suites, triad
-from triads.scalar import ONE, parse_scalar
+from triads.scalar import parse_scalar
 from triads.suites import SUITE_NAMES, SUITE_RUNNERS, SuiteResult, run_suites
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -297,6 +298,8 @@ def test_konvalina_table_json_matches_golden(capsys, kind):
         (("verify", "--spec", str(GOLDEN / "spec_unit_i.json"), "--rows", "12"), "verify_spec_unit_i_rows12.txt"),
         # some i off +-1: the dual polynomials take the Scalar loop
         (("verify", "--spec", str(GOLDEN / "spec_printed.json"), "--rows", "8"), "verify_spec_printed_rows8.txt"),
+        # deep enough that the two-point connection check packs more than one byte a slot
+        (("verify", "--spec", "gauss", "--rows", "40"), "verify_spec_gauss_rows40.txt"),
     ],
 )
 def test_cli_output_matches_golden(capsys, argv, golden):
@@ -557,15 +560,18 @@ def test_verify_genfun_order_at_minimum_passes(capsys):
 
 
 def test_verify_spec_failure_names_row_and_residual(capsys, monkeypatch):
-    # adding 1 to c[3][1] of pascal adds phi_1 = x - 1 to row 3 only
-    correct = triad.coefficient_table
+    # adding 1 to c[3][1] of pascal adds phi_1 = x - 1 to row 3 only; the
+    # packed check and the Scalar route both build the triangle with
+    # _triangle, so both see it, while the l1 bound (ints under mul) does not
+    correct = triad._triangle
 
-    def perturbed(spec, rows):
-        table = [list(row) for row in correct(spec, rows)]
-        table[3][1] = table[3][1] + ONE
-        return triad.TriadTable(table)
+    def perturbed(i, q, d, rows, zero, one, times):
+        table = correct(i, q, d, rows, zero, one, times)
+        if not (times is mul and type(one) is int):
+            table[3][1] = table[3][1] + one
+        return table
 
-    monkeypatch.setattr(triad, "coefficient_table", perturbed)
+    monkeypatch.setattr(triad, "_triangle", perturbed)
     code, out, _ = run(capsys, "verify", "--spec", "pascal", "--rows", "4")
     assert code == 1
     assert out.splitlines() == [

@@ -684,9 +684,9 @@ _SLOT_EDGES = [2**7 - 1, 2**7, 2**15 - 1, 2**31 - 1, 2**63 - 1, 2**64 + 3]
 
 @st.composite
 def matrix_entries(draw):
-    """Scalars for either product path: int polynomials with coefficients at
-    every slot boundary, zeros and constants, Fraction coefficients and
-    rational functions."""
+    """Scalars for the fold: int polynomials with coefficients at every slot
+    boundary, zeros and constants, Fraction coefficients and rational
+    functions."""
     kind = draw(st.integers(0, 5))
     if kind == 0:
         return ZERO
@@ -759,28 +759,26 @@ def test_matrix_product_depth_zero():
         (2, 2**64 + 3, 3, 17),
     ],
 )
-def test_matrix_product_slot_widths(monkeypatch, terms, magnitude, length, width):
+def test_matrix_product_slot_widths(terms, magnitude, length, width):
     # A is one row of `terms` entries and B `terms` rows of one entry, each
     # the polynomial with `length` coefficients +-magnitude, so the central
-    # coefficient of the one sum reaches the bound that picks the width
-    evaluations = _spy(monkeypatch, "_evaluate")
+    # coefficient of the one sum reaches the bound that picks the width; the
+    # product's coefficients round-trip through a signed slot of that width
     entry = Scalar(QPoly([magnitude] * length))
+    assert scalar._slot_width(terms * magnitude**2 * length) == width
     for sign in (1, -1):
         a_rows = [[entry] * terms]
         b_rows = [[entry * sign]] * terms
         product = scalar.matrix_product(a_rows, b_rows)
         assert product == _scalar_fold(a_rows, b_rows)
-        assert max(product[0][0].num.coeffs, key=abs) == sign * terms * magnitude**2 * length
-    assert {w for _, w in evaluations} == {width}
-    assert len(evaluations) == 2 * 2 * terms  # each entry of A and of B once per product
+        cs = product[0][0].num.coeffs
+        assert max(cs, key=abs) == sign * terms * magnitude**2 * length
+        assert scalar._digits(scalar._evaluate(cs, width), width) == cs
 
 
-def test_matrix_product_folds_any_denominator_or_fraction(monkeypatch):
-    folds = _spy(monkeypatch, "_fold_product")
+def test_matrix_product_folds_any_denominator_or_fraction():
     dense = Scalar(QPoly(range(1, 9)))
     assert scalar.matrix_product([[dense, dense]], [[dense], [dense]]) == [(dense * dense + dense * dense,)]
-    assert folds == []
     for odd in (ONE / (ONE + Q), as_scalar(Fraction(1, 2)) * Q):
         for a_rows, b_rows in (([[dense, odd]], [[dense], [dense]]), ([[dense, dense]], [[dense], [odd, dense]])):
             assert scalar.matrix_product(a_rows, b_rows) == _scalar_fold(a_rows, b_rows)
-    assert len(folds) == 4

@@ -1,13 +1,14 @@
 """Coefficient triangles, dual polynomial sequences, and the connection identity."""
 
 import json
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from triads import triad
 from triads.poly import P_ONE, DegreeLimitError, Poly, X
-from triads.scalar import ONE, Q, QPoly, Scalar, ZERO, as_scalar, qpow
+from triads.scalar import ONE, Q, QPoly, Scalar, ZERO, _l1_norms, as_scalar, qpow
 from triads.triad import (
     SingularTriadError,
     TriadSpec,
@@ -349,3 +350,145 @@ def test_recurrence_edges(monkeypatch, forced):
             coefficient_table(spec, -1)
         with pytest.raises(ValueError, match="^count must be nonnegative$"):
             dual_polynomials(spec, -1)
+
+
+# -- the connection check at two points ------------------------------------------
+
+def _two_point_results(monkeypatch):
+    """The results of ``_connection_at_two_points``, recorded as ``verify_connection`` calls it."""
+    results = []
+    real = triad._connection_at_two_points
+
+    def spy(values, dual_values, rows):
+        results.append(real(values, dual_values, rows))
+        return results[-1]
+
+    monkeypatch.setattr(triad, "_connection_at_two_points", spy)
+    return results
+
+
+def _perturb_cell(monkeypatch, n, k, amount=lambda one: one):
+    """Add ``amount(one)`` to cell [n][k] of every triangle over a value ring.
+
+    The l1 bound's triangle, the only one over ints with ``mul``, stays.
+    """
+    real = triad._triangle
+
+    def perturbed(i, q, d, rows, zero, one, times):
+        table = real(i, q, d, rows, zero, one, times)
+        if not (times is mul and type(one) is int):
+            table[n][k] = table[n][k] + amount(one)
+        return table
+
+    monkeypatch.setattr(triad, "_triangle", perturbed)
+
+
+def _connection_both_ways(spec, rows, perturbed_cell=None):
+    """The lines of ``verify_connection`` and what the two-point check returned, after
+    asserting that the lines are the same with the two-point check forced off."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if perturbed_cell is not None:
+            _perturb_cell(monkeypatch, *perturbed_cell)
+            # the Scalar route on Scalar loops: a cell one past the bound of
+            # the packed triangle would not read back from its slot
+            _forced_onto_scalars(monkeypatch)
+        checks = _two_point_results(monkeypatch)
+        lines = verify_connection(spec, rows).lines
+        monkeypatch.setattr(triad, "_connection_at_two_points", lambda values, dual_values, rows: False)
+        assert verify_connection(spec, rows).lines == lines
+    return lines, checks
+
+
+@settings(deadline=None, max_examples=60)
+@given(unit_i_specs(), st.data())
+def test_two_point_check_gives_the_lines_of_the_scalar_route(case, data):
+    spec, rows = case
+    assert _connection_both_ways(spec, rows) == ([(True, f"x^n recovered for all n <= {rows}")], [True])
+    # one more phi_k in row n: the two-point check refuses it, and the
+    # Scalar route names the row and phi_k
+    n = data.draw(st.integers(0, rows))
+    k = data.draw(st.integers(0, n))
+    lines, checks = _connection_both_ways(spec, rows, (n, k))
+    assert (lines, checks) == ([(False, f"n={n}: residual {dual_polynomials(spec, rows)[k]}")], [False])
+
+
+def test_a_residual_that_vanishes_at_one_point_is_refused(monkeypatch):
+    spec, rows = gauss_spec(), 6
+    values, dual_values = triad._triangle_values(spec, rows), triad._dual_values(spec, rows)
+    assert triad._connection_at_two_points(values, dual_values, rows)
+    points = []
+    real_factors = triad._packed_factors
+
+    def factors(sequences, width, sign=1):
+        points.append((width, sign))
+        return real_factors(sequences, width, sign)
+
+    def residual(one):
+        # S = q^2 - 2^b*q at the point q = sign*2^b the triangle's values were
+        # just packed at: S vanishes at 2^b, not at -2^b, and its coefficients
+        # 1 and -2^b are inside the range |S| < 2^(2b - 1) where two points are exact
+        width, sign = points[-1]
+        b = 8 * width
+        q = sign << b
+        return q * q - (one << b) * q
+
+    monkeypatch.setattr(triad, "_packed_factors", factors)
+    _perturb_cell(monkeypatch, 2, 0, residual)
+    assert not triad._connection_at_two_points(values, dual_values, rows)
+    # the first point passed, so the second refused it
+    assert [sign for _, sign in points] == [1, 1, -1, -1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(unit_i_specs())
+def test_connection_bound_covers_every_cell_and_product(case):
+    spec, rows = case
+    values = triad._triangle_values(spec, rows)
+    signed = triad._unit_dual_sequences(*triad._dual_values(spec, rows))
+    bound = triad._connection_bound(_l1_norms((*values, *signed)), rows)
+    table, phis = coefficient_table(spec, rows), dual_polynomials(spec, rows)
+
+    def top(s):
+        return max(map(abs, s.num.coeffs))
+
+    def l1(s):
+        return sum(map(abs, s.num.coeffs))
+
+    assert all(top(v) <= bound for seq in (*values, *signed) for v in seq)
+    assert all(top(c) <= bound for row in table.rows for c in row)
+    assert all(top(c) <= bound for phi in phis for c in phi.coeffs)
+    for n, row in enumerate(table.rows):
+        for j in range(n + 1):
+            assert sum(l1(row[k]) * top(phis[k].coeffs[j]) for k in range(j, n + 1)) <= bound
+
+
+def _scaled_spec(bits):
+    """i = 1, q(k) = (2^bits + k)*q^k, d(k) = -2^bits*q^k."""
+    return TriadSpec.of(ONE, lambda k: (2**bits + k) * qpow(k), lambda k: -(2**bits) * qpow(k), name=f"scaled{bits}")
+
+
+@pytest.mark.parametrize(
+    "spec, rows, half",
+    [
+        (gauss_spec(), 26, 3),  # B needs a slot of 5 bytes
+        (_scaled_spec(28), 2, 4),  # 8 bytes
+        (_scaled_spec(60), 2, 8),  # 16 bytes
+        (_scaled_spec(20), 8, 11),  # 22 bytes: _pack's int.to_bytes path
+        (_scaled_spec(70), 1, 9),  # 10 bytes, but the values' coefficients need 9
+    ],
+)
+def test_half_widths_on_both_sides_of_eight_bytes(monkeypatch, spec, rows, half):
+    points = []
+    real_factors = triad._packed_factors
+
+    def factors(sequences, width, sign=1):
+        points.append((width, sign))
+        return real_factors(sequences, width, sign)
+
+    monkeypatch.setattr(triad, "_packed_factors", factors)
+    assert _connection_both_ways(spec, rows) == ([(True, f"x^n recovered for all n <= {rows}")], [True])
+    assert points == [(half, 1), (half, 1), (half, -1), (half, -1)]
+    points.clear()
+    lines, checks = _connection_both_ways(spec, rows, (rows, 0))
+    assert (lines, checks) == ([(False, f"n={rows}: residual 1")], [False])
+    assert points == [(half, 1), (half, 1)]
