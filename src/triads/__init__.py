@@ -33,19 +33,16 @@ from .triad import (
 )
 from .konvalina import (
     WeightVector,
-    binomial,
     first_kind,
     first_kind_oracle,
     first_kind_table,
     last_box_identity,
     naturals,
     ones,
-    q_binomial,
     qpowers,
     second_kind,
     second_kind_oracle,
     second_kind_table,
-    second_kind_triangle,
     second_kind_triangle_table,
     split_identity,
 )

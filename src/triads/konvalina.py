@@ -35,16 +35,16 @@ a canonical Scalar.  There are three rings:
     (``WeightVector.constant_values``); ``wrap`` is ``as_scalar``, which
     turns a Fraction with denominator 1 into an int;
   * packed ints, when every weight is a polynomial with int coefficients
-    (q-powers, [n]_q) and the bound below fits a slot of at most 8 bytes:
-    ``scalar.packed_products`` evaluates each weight once at
-    q = 2^(8 * width), and ``wrap`` reads a value's slots back.  A value
-    of at most k factors over n weights is a sum of at most T products,
-    each with coefficients of magnitude at most M^k, where M is the
-    largest l1 norm of a weight's coefficients; T is comb(n+k-1, k) for
-    the second kind and comb(n, min(k, n // 2)) for the first, whose
-    values sum products of distinct weights.  The slot holds
-    max(T * M^k, M), so the weights themselves fit even at k = 0;
-  * the Scalars themselves, for any other vector; ``wrap`` is ``as_scalar``.
+    (q-powers, [n]_q) and the values fit a slot of at most 8 bytes: each
+    weight is evaluated once at q = 2^(8 * width), and ``wrap`` reads a
+    value's slots back.  The slot comes from the same pass run over the
+    l1 norms of the weights' coefficients (``scalar._packed_width``):
+    every coefficient of a value is at most the value the pass gives at
+    the norms, in magnitude, and the slot also holds the weights
+    themselves;
+  * the Scalars themselves, for any other vector, and for packed slots
+    past 8 bytes, where the big-int products lose to Scalar arithmetic;
+    ``wrap`` is ``as_scalar``.
 
 Native and packed arithmetic is several times faster than the same
 arithmetic through ``Scalar``.  Values, oracles, tables and the triangle
@@ -56,12 +56,10 @@ evaluate to distinct ints.
 ``second_kind_triangle_table`` is the (n, k)-indexed reshaping of the
 second kind (value S_{n-k}^k) computed through its own flipped recurrence
 over the same ring, the shape Stirling triangles satisfy, in one run over
-the whole vector; ``second_kind_triangle`` reads one entry of it.
-``binomial`` and ``q_binomial`` are single entries of the binomial and
-Gaussian arrays as these coefficients over unit and q-power weights; the
-pascal and gauss family tables read the same kinds over the same weights
-from one pass each.  The summation identities derived from the last-box
-decomposition are checked by ``suites.suite_corollary``.
+the whole vector.  The binomial and Gaussian arrays are these
+coefficients over unit and q-power weights; the pascal and gauss family
+tables read them from one pass each.  The summation identities derived
+from the last-box decomposition are checked by ``suites.suite_corollary``.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .scalar import ONE, Scalar, ZERO, as_scalar, packed_products, qpow
+from .scalar import ONE, Scalar, ZERO, _evaluate, _packed_scalar, _packed_width, as_scalar, qpow
 
 
 @dataclass(frozen=True)
@@ -151,35 +149,30 @@ def second_kind_oracle(w: WeightVector, k: int) -> Scalar:
 
 # -- the last-box recurrence -------------------------------------------------
 
+# The widest packed slot, in bytes.  Past it the Scalar ring is faster:
+# last_box_table(qpowers(n), n, "second") takes 0.09-0.13 s over Scalars
+# and 0.28 s packed at n = 40 (10-byte slots), and 0.53-0.59 s against
+# 2.4-2.6 s at n = 64 (Python 3.11, 2-vCPU Xeon).
+_MAX_SLOT = 8
+
+
 def _ring(w: WeightVector, k: int, kind: str = "second") -> tuple[Sequence, object, object, Callable]:
     """The weights' values, the zero and one of their ring, and the map back to Scalars.
 
     ``k`` is the largest number of factors in any value that is read back or
     compared, and ``kind`` the kind of those values; the second kind's
-    bound covers first-kind values too.  Native ints and Fractions when
-    every weight is constant in q; packed ints when every weight is an int
-    polynomial whose sums of at most ``_terms(len(w), k, kind)`` products
-    of k weights fit a slot of at most 8 bytes; else the Scalars themselves.
+    values bound the first kind's too.  Native ints and Fractions when every
+    weight is constant in q; packed ints when every weight is an int
+    polynomial and the slot the kind's pass to column k over the weights'
+    l1 norms needs is at most 8 bytes; else the Scalars themselves.
     """
     values = w.constant_values()
     if values is not None:
         return values, 0, 1, as_scalar
-    packed = packed_products(w.weights, k, _terms(len(w), k, kind))
-    if packed is not None:
-        return packed[0], 0, 1, packed[1]
+    width = _packed_width([w.weights], lambda norms: max(_last_row(norms, k, kind, 0, 1)))
+    if width is not None and width <= _MAX_SLOT:
+        return [_evaluate(s.num.coeffs, width) for s in w.weights], 0, 1, lambda value: _packed_scalar(value, width)
     return w.weights, ZERO, ONE, as_scalar
-
-
-def _terms(n: int, k: int, kind: str) -> int:
-    """The most products in a value of at most k factors over n weights.
-
-    A first-kind value j <= k sums comb(n, j) products, at most
-    comb(n, min(k, n // 2)); a second-kind value j <= k sums
-    comb(n+j-1, j), at most comb(n+k-1, k).
-    """
-    if kind == "first":
-        return math.comb(n, min(k, n // 2))
-    return math.comb(n + k - 1, k)
 
 
 def _check_kind(kind: str) -> None:
@@ -293,15 +286,6 @@ def second_kind_triangle_table(w: WeightVector, n_max: int) -> list[list[Scalar]
     return [[wrap(v) for v in row] for row in rows]
 
 
-def second_kind_triangle(w: WeightVector, n: int, k: int) -> Scalar:
-    """Entry [n][k] of the second-kind triangle, read from the table over w_1..w_k."""
-    if k < 0 or n < 0:
-        return ZERO
-    if k > len(w):
-        raise IndexError(f"triangle column {k} needs weight w_{k}, vector has {len(w)}")
-    return second_kind_triangle_table(w.prefix(k), n)[n][k]
-
-
 # -- identity checks ---------------------------------------------------------
 
 def last_box_identity(w: WeightVector, k: int, kind: str = "first") -> bool:
@@ -361,17 +345,3 @@ def check_triangle(n: int, k: int) -> None:
     """Raise IndexError unless 0 <= k <= n, the index range of every triangle."""
     if not 0 <= k <= n:
         raise IndexError(f"(n, k) = ({n}, {k}) outside the triangle 0 <= k <= n")
-
-
-def binomial(n: int, k: int) -> Scalar:
-    """Binomial coefficient as the first kind over unit weights."""
-    if k < 0 or n < 0:
-        return ZERO
-    return first_kind(ones(n), k)
-
-
-def q_binomial(n: int, k: int) -> Scalar:
-    """Gaussian q-binomial coefficient as the second kind over q-power weights."""
-    if k < 0 or k > n:
-        return ZERO
-    return second_kind(qpowers(n - k + 1), k)

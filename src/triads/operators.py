@@ -63,9 +63,6 @@ class DiagOp:
     def depth(self) -> int:
         return len(self.eigen) - 1
 
-    def eigenvalue(self, m: int) -> Scalar:
-        return self.eigen[m]
-
     def _match(self, other: "DiagOp") -> None:
         if self.depth != other.depth:
             raise ValueError(f"operator depth mismatch: {self.depth} != {other.depth}")

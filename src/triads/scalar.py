@@ -39,18 +39,21 @@ coefficients.  All three give the same canonical tuple.
 :func:`matrix_product` multiplies two matrices of Scalars by folding
 Scalar products entry by entry; the triad connection check reaches it
 only for a spec off its packed path or for a row that fails there.
-:func:`packed_products` hands the signed-slot packing to code that runs
-its own sums and products of ints: the weighted-coefficient passes,
-enumerations and triangle of ``konvalina`` over weights that are
-polynomials with int coefficients.  :func:`_packed_factors` hands it to
-the triad recurrences, with each value q^e * p as the pair (p packed,
-shift), so that a product by a monomial c*q^e is a product by c and a
-shift; it packs at q = +2^(8w) or at q = -2^(8w), where the coefficient of
-q^m takes the sign (-1)^m.  :func:`_packed_terms` picks the slot for a
-recurrence whose values are read back.  Every slot is exactly as many
-bytes as its bound needs: 1, 2, 4 and 8 bytes are array items, 3, 5, 6
-and 7 bytes are copied out of 8-byte items with strided slices, and wider
-slots pack each coefficient with ``int.to_bytes``.
+The signed-slot packing also serves code that runs its own sums and
+products of ints over polynomials with int coefficients, with one rule
+for the slot: :func:`_packed_width` runs the same computation over the
+l1 norms of the values' coefficients, and the slot holds what that gives.
+``konvalina``'s weighted-coefficient passes, enumerations and triangle
+evaluate each weight at q = 2^(8w) with :func:`_evaluate`.
+:func:`_packed_factors` hands the packing to the triad recurrences, with
+each value q^e * p as the pair (p packed, shift), so that a product by a
+monomial c*q^e is a product by c and a shift; it packs at q = +2^(8w) or
+at q = -2^(8w), where the coefficient of q^m takes the sign (-1)^m, and
+:func:`_packed_terms` gives those pairs at the slot of
+:func:`_packed_width`.  Every slot is exactly as many bytes as its bound
+needs: 1, 2, 4 and 8 bytes are array items, 3, 5, 6 and 7 bytes are
+copied out of 8-byte items with strided slices, and wider slots pack each
+coefficient with ``int.to_bytes``.
 
 Printing: integers print bare ("5"), polynomials as canonical
 ascending-power strings ("1 + q - 2*q^3"), quotients as "num / den" with
@@ -631,33 +634,6 @@ def _packed_scalar(value: int, width: int) -> Scalar:
     return Scalar._raw(QPoly._raw(_digits(value, width)), QP_ONE) if value else ZERO
 
 
-def packed_products(
-    scalars: Sequence[Scalar], factors: int, terms: int
-) -> tuple[list[int], Callable[[int], Scalar]] | None:
-    """The scalars as native ints, and the map back, for sums of their products.
-
-    Every value that is read back or compared must be one of the scalars or
-    a sum of at most ``terms`` products of at most ``factors`` of them.  With
-    M the largest l1 norm of a scalar's coefficients, every coefficient of
-    such a value is at most max(terms * M^factors, M) in magnitude.  When
-    every scalar is a polynomial with int coefficients and that bound fits
-    a slot of at most 8 bytes, each scalar is evaluated once at
-    q = 2^(8 * width): sums and products of the ints are then exact images
-    of the polynomials', two values within the bound are equal exactly when
-    their ints are, and the returned map reads a value's digits back as a
-    canonical Scalar.  Otherwise None.
-    """
-    if not all(map(_int_polynomial, scalars)):
-        return None
-    norm = max((sum(map(abs, s.num.coeffs)) for s in scalars), default=0)
-    if norm > 1 and factors * (norm.bit_length() - 1) >= 64:
-        return None  # M^factors alone is past a slot of 8 bytes
-    width = _slot_width(max(terms * norm**factors, norm))
-    if width > 8:
-        return None
-    return [_evaluate(s.num.coeffs, width) for s in scalars], lambda value: _packed_scalar(value, width)
-
-
 def _l1_norms(sequences: Sequence[Sequence[Scalar]]) -> list[list[int]] | None:
     """The l1 norm of each scalar's coefficients, one list per sequence.
 
@@ -697,23 +673,35 @@ def _packed_times(pair: tuple[int, int], value: int) -> int:
     return value * pair[0] << pair[1]
 
 
+def _packed_width(sequences: Sequence[Sequence[Scalar]], bound: Callable[..., int]) -> int | None:
+    """Bytes a slot needs for a computation over the scalars of each sequence.
+
+    ``bound`` is called with the l1 norms of the scalars' coefficients, one
+    list per sequence, and returns a bound on the coefficients of every
+    value the computation reads back or compares: the same computation run
+    over the norms.  The slot holds that bound and the scalars' own
+    coefficients.  None unless every scalar is a polynomial with int
+    coefficients.
+    """
+    norms = _l1_norms(sequences)
+    if norms is None:
+        return None
+    return _slot_width(max((bound(*norms), *(_magnitude(s.num.coeffs) for seq in sequences for s in seq))))
+
+
 def _packed_terms(
     sequences: Sequence[Sequence[Scalar]], bound: Callable[..., int]
 ) -> tuple[list[list[tuple[int, int]]], Callable[[int], Scalar]] | None:
     """The scalars of each sequence as packed factors, for a recurrence that multiplies by them.
 
-    ``bound`` is called with the l1 norms of the scalars' coefficients, one
-    list per sequence, and returns a bound on the coefficients of every
-    value the recurrence reads back.  When every scalar is a polynomial
-    with int coefficients, the slot holds that bound and the scalars' own
-    coefficients, and each scalar is a pair of :func:`_packed_factors` at
-    q = 2^(8 * width), for :func:`_packed_times`.  Also returned is the map
-    that reads a packed value back as a canonical Scalar.  Otherwise None.
+    Each scalar is a pair of :func:`_packed_factors` at q = 2^(8 * width),
+    for :func:`_packed_times`, with the slot of :func:`_packed_width`; also
+    returned is the map that reads a packed value back as a canonical
+    Scalar.  None unless every scalar is a polynomial with int coefficients.
     """
-    norms = _l1_norms(sequences)
-    if norms is None:
+    width = _packed_width(sequences, bound)
+    if width is None:
         return None
-    width = _slot_width(max((bound(*norms), *(_magnitude(s.num.coeffs) for seq in sequences for s in seq))))
     return _packed_factors(sequences, width), lambda value: _packed_scalar(value, width)
 
 

@@ -14,32 +14,38 @@ drive two recurrences that are dual to each other:
 The two are linked by the connection identity x^n = sum_k c[n][k]*phi_k,
 which :func:`verify_connection` checks for every n <= N.
 
-Each recurrence reads every sequence value it needs once, in the order it
-first needs it, and runs on packed native ints when every value read is a
-polynomial in q with int coefficients and, for the dual recurrence, every
-i(k) is 1 or -1 (so 1/i(k) = i(k)).  ``scalar._packed_factors`` evaluates
-each value once at q = 2^(8w): a monomial c*q^e becomes a product by c and
-a shift by 8we.  The slot width w comes from the same recurrence run over
-the l1 norms |.|_1 of the values' coefficients,
+Each recurrence is one definition over a ring, ``_triangle`` and
+``_dual_rows``.  Each reads every sequence value it needs once, in the
+order it first needs it, and multiplies by what it read: the triangle by
+i, q and d, the dual recurrence, phi_{k+1} = (1/i(k))*(x*phi_k
+- q(k)*phi_k - d(k)*phi_{k-1}), by 1/i(k), -q(k) and -d(k).  It runs on
+packed native ints when every value it multiplies by is a polynomial in q
+with int coefficients, and on Scalars otherwise; for the dual recurrence
+that asks 1/i(k) to be an int polynomial, so i(k) = +-1 is one case of
+i(k) = +-1/c.  ``scalar._packed_factors`` evaluates each value once at
+q = 2^(8w): a monomial c*q^e becomes a product by c and a shift by 8we.
+The slot width w comes from the same recurrence run over the l1 norms
+|.|_1 of the values' coefficients,
     |c[n+1][k]|_1 <= |i(k-1)|_1*|c[n][k-1]|_1 + |q(k)|_1*|c[n][k]|_1 + |d(k+1)|_1*|c[n][k+1]|_1,
 and the same rule for the coefficients of phi_{k+1}; the slot also holds
 the values themselves.  Each cell or coefficient is read back once as a
-canonical Scalar, equal to what the Scalar loop gives.  Any other spec
-runs the Scalar loop.
+canonical Scalar, equal to what the recurrence over Scalars gives.
 
-When both recurrences run packed, the connection check reads nothing
-back.  B bounds every coefficient of every sum_k c[n][k]*Phi[k][j], where
-Phi[k][j] is the x^j coefficient of phi_k, from the same recurrences over
-the l1 norms; with w = _slot_width(B) and h = ceil(w/2) bytes, both
-recurrences run on the values packed at q = +2^(8h) and at q = -2^(8h),
-and each row of C * Phi must be the unit row of x^n at both points.  Two
-points with half a slot each are exact: for a polynomial S whose
-coefficients are below 2^(16h) in magnitude, S(2^(8h)) = S(-2^(8h)) = 0
-puts both its even and its odd part to zero at 2^(16h), so S = 0.  Each
-product has half the bits of a product at q = 2^(8w), and two of those
-cost less than one of these (Harvey's two-point Kronecker substitution).
+When both recurrences run packed (every i(k) is +-1, the units of Z[q]),
+the connection check reads nothing back.  B bounds every coefficient of
+every sum_k c[n][k]*Phi[k][j], where Phi[k][j] is the x^j coefficient of
+phi_k, from the same recurrences over the l1 norms; with
+w = _slot_width(B) and h = ceil(w/2) bytes, both recurrences run on the
+values packed at q = +2^(8h) and at q = -2^(8h), and each row of C * Phi
+must be the unit row of x^n at both points.  Two points with half a slot
+each are exact: for a polynomial S whose coefficients are below 2^(16h)
+in magnitude, S(2^(8h)) = S(-2^(8h)) = 0 puts both its even and its odd
+part to zero at 2^(16h), so S = 0.  Each product has half the bits of a
+product at q = 2^(8w), and two of those cost less than one of these
+(Harvey's two-point Kronecker substitution).
 A spec off that path, or a row that differs, takes the matrix product of
-the Scalar triangle and dual polynomials, which names the failing rows.
+the triangle and dual polynomials as Scalars, both run on the values
+already read, which names the failing rows.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from operator import add, lshift, mul
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .poly import P_ONE, P_ZERO, Poly, _check_degree, x_power
+from .poly import Poly, _check_degree, x_power
 from .scalar import (
     ONE,
     Scalar,
@@ -66,9 +72,6 @@ from .scalar import (
 )
 
 SequenceRule = Callable[[int], Scalar]
-
-# the values of i(k) for which the dual recurrence runs packed: 1/i(k) = i(k)
-_UNITS = (ONE, -ONE)
 
 
 class SingularTriadError(ValueError):
@@ -137,12 +140,16 @@ class TriadTable:
 
 def coefficient_table(spec: TriadSpec, rows: int) -> TriadTable:
     """Fill the coefficient triangle through the given row count."""
-    sequences = _triangle_values(spec, rows)
-    packed = _packed_terms(sequences, lambda *norms: max(map(max, _triangle(*norms, rows, 0, 1, mul))))
+    return TriadTable(_table_from(_triangle_values(spec, rows), rows))
+
+
+def _table_from(values: tuple[list, list, list], rows: int) -> list[list[Scalar]]:
+    """The triangle's rows of Scalars over the values :func:`_triangle_values` read."""
+    packed = _packed_terms(values, lambda *norms: max(map(max, _triangle(*norms, rows, 0, 1, mul))))
     if packed is None:
-        return TriadTable(_triangle(*sequences, rows, ZERO, ONE, mul))
+        return _triangle(*values, rows, ZERO, ONE, mul)
     terms, read = packed
-    return TriadTable([list(map(read, row)) for row in _triangle(*terms, rows, 0, 1, _packed_times)])
+    return [list(map(read, row)) for row in _triangle(*terms, rows, 0, 1, _packed_times)]
 
 
 def _triangle_values(spec: TriadSpec, rows: int) -> tuple[list, list, list]:
@@ -188,28 +195,23 @@ def _triangle(i: Sequence, q: Sequence, d: Sequence, rows: int, zero, one, times
 
 def dual_polynomials(spec: TriadSpec, count: int) -> list[Poly]:
     """The polynomials phi_0 .. phi_count generated by the dual recurrence."""
-    i_vals, q_vals, d_vals = _dual_values(spec, count)
-    signed = _unit_dual_sequences(i_vals, q_vals, d_vals)
-    if signed is not None:
-        packed = _packed_terms(signed, lambda *norms: max(map(max, _dual_rows(*norms, count, mul))))
-        if packed is not None:
-            terms, read = packed
-            phis = _dual_rows(*terms, count, _packed_times)
-            return [P_ONE] + [Poly._raw(tuple(map(read, phi))) for phi in phis[1:]]
-    phis = [P_ONE]
-    prev = P_ZERO
-    for k in range(count):
-        current = phis[k]
-        top = current.times_x() - current.scale(q_vals[k])
-        if k >= 1:
-            top = top - prev.scale(d_vals[k])
-        phis.append(top.scale(ONE / i_vals[k]))
-        prev = current
-    return phis
+    return _duals_from(_dual_values(spec, count), count)
+
+
+def _duals_from(values: tuple[list, list, list], count: int) -> list[Poly]:
+    """phi_0 .. phi_count over the values 1/i, -q and -d that :func:`_dual_values` read."""
+    packed = _packed_terms(values, lambda *norms: max(map(max, _dual_rows(*norms, count, 0, 1, mul))))
+    if packed is None:
+        return [Poly._raw(tuple(phi)) for phi in _dual_rows(*values, count, ZERO, ONE, mul)]
+    terms, read = packed
+    return [Poly._raw(tuple(map(read, phi))) for phi in _dual_rows(*terms, count, 0, 1, _packed_times)]
 
 
 def _dual_values(spec: TriadSpec, count: int) -> tuple[list, list, list]:
-    """The values i, q and d the dual recurrence reads for phi_0 .. phi_count, d(0) standing in as zero."""
+    """1/i(k), -q(k) and -d(k), the values the dual recurrence multiplies by for phi_0 .. phi_count.
+
+    -d(0) stands in as zero.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
     # read in the recurrence's order, with its checks: a zero i(k) before
@@ -220,40 +222,31 @@ def _dual_values(spec: TriadSpec, count: int) -> tuple[list, list, list]:
         if ik.is_zero():
             raise SingularTriadError(k)
         _check_degree(k + 1)
-        i_vals.append(ik)
-        q_vals.append(spec.q_seq(k))
+        i_vals.append(ONE / ik)
+        q_vals.append(-spec.q_seq(k))
         if k >= 1:
-            d_vals.append(spec.d_seq(k))
+            d_vals.append(-spec.d_seq(k))
     return i_vals, q_vals, d_vals
 
 
-def _unit_dual_sequences(i_vals: list, q_vals: list, d_vals: list) -> tuple[list, list, list] | None:
-    """(i, -q, -d), the values :func:`_dual_rows` multiplies by, when every i(k) is +-1; otherwise None.
+def _dual_rows(r: Sequence, q: Sequence, d: Sequence, count: int, zero, one, times: Callable) -> list[list]:
+    """phi_{k+1} = r(k)*(x*phi_k + q(k)*phi_k + d(k)*phi_{k-1}) over a ring, as x-coefficient lists.
 
-    With i(k) = +-1, 1/i(k) = i(k): phi_{k+1} = i(k)*(x*phi_k - q(k)*phi_k - d(k)*phi_{k-1}).
+    Called with r = 1/i, -q and -d, this is the dual recurrence.  A d(k)
+    that is false, a zero Scalar or norm, adds nothing and is skipped.  Over
+    the l1 norms of the values, with ``mul``, each entry is a bound on the
+    l1 norm of the coefficients of the entry it stands for.
     """
-    if not all(ik in _UNITS for ik in i_vals):
-        return None
-    return i_vals, [-v for v in q_vals], [-v for v in d_vals]
-
-
-def _dual_rows(i: Sequence, q: Sequence, d: Sequence, count: int, times: Callable) -> list[list]:
-    """phi_{k+1} = i(k)*(x*phi_k + q(k)*phi_k + d(k)*phi_{k-1}) over ints, as x-coefficient lists.
-
-    Called with packed i = +-1, -q and -d, this is the dual recurrence.
-    Over the l1 norms of the values, with ``mul``, each entry is a bound on
-    the l1 norm of the coefficients of the entry it stands for.
-    """
-    phis = [[1]]
+    phis = [[one]]
     for k in range(count):
         current = phis[k]
-        top = [0, *current]
+        top = [zero, *current]
         for j, c in enumerate(current):
             top[j] += times(q[k], c)
-        if k >= 1:
+        if k >= 1 and d[k]:
             for j, c in enumerate(phis[k - 1]):
                 top[j] += times(d[k], c)
-        phis.append([times(i[k], c) for c in top])
+        phis.append([times(r[k], c) for c in top])
     return phis
 
 
@@ -280,9 +273,10 @@ def verify_connection(spec: TriadSpec, rows: int) -> SuiteResult:
 
     Row n of the matrix product C * Phi, where C is the coefficient
     triangle and Phi[k][j] is the x^j coefficient of phi_k, must be the
-    coefficient row of x^n.  The sequence values are read as
+    coefficient row of x^n.  The sequence values are read once, as
     :func:`coefficient_table` and then :func:`dual_polynomials` read them,
-    so a failing read raises the same error.  When both recurrences run
+    so a failing read raises the same error, and both routes below run the
+    recurrences on the values read there.  When both recurrences run
     packed, :func:`_connection_at_two_points` checks every row on their
     packed ints and reads nothing back: B bounds every coefficient of every
     sum_k c[n][k]*Phi[k][j], both recurrences run at q = +2^b and at
@@ -298,9 +292,8 @@ def verify_connection(spec: TriadSpec, rows: int) -> SuiteResult:
     dual_values = _dual_values(spec, rows)
     report = SuiteResult(f"connection {spec.name or 'spec'}")
     if not _connection_at_two_points(values, dual_values, rows):
-        table = coefficient_table(spec, rows)
-        phis = dual_polynomials(spec, rows)
-        for n, row in enumerate(matrix_product(table.rows, [phi.coeffs for phi in phis])):
+        phis = _duals_from(dual_values, rows)
+        for n, row in enumerate(matrix_product(_table_from(values, rows), [phi.coeffs for phi in phis])):
             target = x_power(n)
             if row != target.coeffs:
                 residual = Poly(row) - target
@@ -314,13 +307,14 @@ def verify_connection(spec: TriadSpec, rows: int) -> SuiteResult:
 def _connection_at_two_points(values: tuple, dual_values: tuple, rows: int) -> bool:
     """True when every row n <= rows of C * Phi is x^n, checked at q = 2^(8h) and at q = -2^(8h).
 
-    Runs when every value read is a polynomial with int coefficients and
-    every i(k) of the duals is +-1; otherwise, or when a row differs, it is
-    False.  The recurrences run over the values' l1 norms bound the l1
-    norm of every cell of C and of every coefficient of Phi, and so B, the
-    largest of those bounds, of the values' own norms and of every
-    sum_k |c[n][k]|_1 * |Phi[k][j]|_1, bounds every coefficient of the
-    q-polynomial S = sum_k c[n][k] * Phi[k][j].  With w = _slot_width(B)
+    Runs when every value the two recurrences multiply by, i, q and d for
+    the triangle and 1/i, -q and -d for the duals, is a polynomial with int
+    coefficients, so that every i(k) is +-1; otherwise, or when a row
+    differs, it is False.  The recurrences run over the values' l1 norms
+    bound the l1 norm of every cell of C and of every coefficient of Phi,
+    and so B, the largest of those bounds, of the values' own norms and of
+    every sum_k |c[n][k]|_1 * |Phi[k][j]|_1, bounds every coefficient of
+    the q-polynomial S = sum_k c[n][k] * Phi[k][j].  With w = _slot_width(B)
     bytes, B < 2^(8w - 1); the half slot h = ceil(w/2) bytes, widened if
     needed to hold every value's coefficients, gives b = 8h bits with
     |S - delta| <= B + 1 <= 2^(2b - 1).  Both recurrences run unchanged on
@@ -332,28 +326,27 @@ def _connection_at_two_points(values: tuple, dual_values: tuple, rows: int) -> b
     magnitude vanishes at 4^b only if it is zero.  Each product at the two
     points has about half the bits of one at q = 2^(8w).
     """
-    signed = _unit_dual_sequences(*dual_values)
-    norms = None if signed is None else _l1_norms((*values, *signed))
+    norms = _l1_norms((*values, *dual_values))
     if norms is None:
         return False
     value_bound = max(max(seq, default=0) for seq in norms)
     half = max(-(-_slot_width(_connection_bound(norms, rows)) // 2), _slot_width(value_bound))
     for sign in (1, -1):
         table = _triangle(*_packed_factors(values, half, sign), rows, 0, 1, _packed_times)
-        phis = _dual_rows(*_packed_factors(signed, half, sign), rows, _packed_times)
+        phis = _dual_rows(*_packed_factors(dual_values, half, sign), rows, 0, 1, _packed_times)
         if not _is_inverse_pair(table, phis):
             return False
     return True
 
 
 def _connection_bound(norms: list[list[int]], rows: int) -> int:
-    """B for :func:`_connection_at_two_points`, from the l1 norms of i, q, d and of i, -q, -d of the duals.
+    """B for :func:`_connection_at_two_points`, from the l1 norms of i, q, d and of 1/i, -q, -d of the duals.
 
     The largest of the norms, of the two recurrences run over them, and of
     every sum_k |c[n][k]|_1 * |Phi[k][j]|_1 over the bounds they give.
     """
     table_bounds = _triangle(*norms[:3], rows, 0, 1, mul)
-    phi_bounds = _dual_rows(*norms[3:], rows, mul)
+    phi_bounds = _dual_rows(*norms[3:], rows, 0, 1, mul)
     return max(
         *(max(seq, default=0) for seq in norms),
         *map(max, table_bounds),

@@ -296,10 +296,20 @@ def test_konvalina_table_json_matches_golden(capsys, kind):
             "table_spec_unit_i_rows12.json",
         ),
         (("verify", "--spec", str(GOLDEN / "spec_unit_i.json"), "--rows", "12"), "verify_spec_unit_i_rows12.txt"),
-        # some i off +-1: the dual polynomials take the Scalar loop
+        # some 1/i(k) off the ints (1/2, 1/3): the dual polynomials run over Scalars
         (("verify", "--spec", str(GOLDEN / "spec_printed.json"), "--rows", "8"), "verify_spec_printed_rows8.txt"),
         # deep enough that the two-point connection check packs more than one byte a slot
         (("verify", "--spec", "gauss", "--rows", "40"), "verify_spec_gauss_rows40.txt"),
+        # i in {+-1, +-1/2, +-1/3}: the duals multiply by 1/i, an int, and run
+        # packed, while the triangle multiplies by i and runs over Scalars
+        (
+            ("verify", "--spec", str(GOLDEN / "spec_reciprocal_i.json"), "--rows", "12"),
+            "verify_spec_reciprocal_i_rows12.txt",
+        ),
+        (
+            ("table", "--spec", str(GOLDEN / "spec_reciprocal_i.json"), "--rows", "12", "--format", "json"),
+            "table_spec_reciprocal_i_rows12.json",
+        ),
     ],
 )
 def test_cli_output_matches_golden(capsys, argv, golden):

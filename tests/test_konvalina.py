@@ -13,7 +13,6 @@ from triads.konvalina import (
     _last_box_rows,
     _last_row,
     _ring,
-    binomial,
     first_kind,
     first_kind_oracle,
     first_kind_table,
@@ -22,12 +21,10 @@ from triads.konvalina import (
     last_box_table,
     naturals,
     ones,
-    q_binomial,
     qpowers,
     second_kind,
     second_kind_oracle,
     second_kind_table,
-    second_kind_triangle,
     second_kind_triangle_table,
     split_identity,
 )
@@ -76,19 +73,22 @@ def test_triangle_reindexing_matches_substitution():
     rng = random.Random(11)
     for _ in range(25):
         w = WeightVector.of([rng.randint(-4, 4) for _ in range(rng.randint(1, 8))])
+        table = second_kind_triangle_table(w, 8)
         for k in range(len(w) + 1):
-            for n in range(k, 9):
-                assert second_kind_triangle(w, n, k) == second_kind_oracle(w.prefix(k), n - k)
+            for n in range(9):
+                expected = second_kind_oracle(w.prefix(k), n - k) if n >= k else ZERO
+                assert table[n][k] == expected
 
 
 def test_triangle_boundary():
     w = naturals(5)
-    assert second_kind_triangle(w, 0, 0) == ONE
-    assert second_kind_triangle(w, 4, 0) == ZERO  # column 0 vanishes past row 0
-    assert second_kind_triangle(w, 0, 3) == ZERO
-    assert all(second_kind_triangle(w, n, n) == ONE for n in range(6))
-    with pytest.raises(IndexError):
-        second_kind_triangle(w, 7, 6)
+    table = second_kind_triangle_table(w, 7)
+    assert table[0][0] == ONE
+    assert table[4][0] == ZERO  # column 0 vanishes past row 0
+    assert table[0][3] == ZERO
+    assert all(table[n][n] == ONE for n in range(6))
+    # one column per weight: column 6 would need w_6
+    assert [len(row) for row in table] == [6] * 8
 
 
 def test_symmetric_function_semantics_via_newton():
@@ -215,7 +215,7 @@ def test_integral_results_come_back_as_int_coefficients():
         second_kind(half, 1),
         first_kind_table(half, 2)[2][1],
         second_kind_table(half, 1, 2)[2][1],
-        second_kind_triangle(half, 3, 2),
+        second_kind_triangle_table(half, 3)[3][2],
     )
     for value in values:
         assert value.num.coeffs == (1,) and type(value.num.coeffs[0]) is int
@@ -318,21 +318,28 @@ def test_identities_at_every_k_match_a_per_k_reference(values, k, data):
         assert split_identity(w, split, k) == all(_split_at(w, split, j) for j in range(k + 1))
 
 
-def test_binomial_and_q_binomial_helpers():
-    assert binomial(5, 2) == as_scalar(10)
-    assert binomial(3, 7) == ZERO
-    assert q_binomial(4, 2) == q_binomial_by_factorials(4, 2)
+def _gaussian_table(rows):
+    """[n k]_q at [n][k] for k <= n <= rows: h_k(1, q, .., q^(n-k)), state n-k+1 of one second-kind pass."""
+    states = last_box_table(qpowers(rows + 1), rows, "second")
+    return [[states[n - k + 1][k] for k in range(n + 1)] for n in range(rows + 1)]
+
+
+def test_binomial_and_gaussian_tables_match_independent_references():
+    pascal, gaussian = first_kind_table(ones(8), 8), _gaussian_table(8)
     for n in range(9):
-        for k in range(n + 1):
-            assert q_binomial(n, k) == q_binomial_by_factorials(n, k)
+        assert pascal[n] == [as_scalar(math.comb(n, k)) for k in range(n + 1)]
+        assert gaussian[n] == [q_binomial_by_factorials(n, k) for k in range(n + 1)]
+    # past the diagonal the first kind over unit weights is zero
+    assert last_box_table(ones(3), 7, "first")[3][4:] == [ZERO] * 4
 
 
 def test_hockey_stick_instance():
     # binom(5,2) = 10 = 1 + 2 + 3 + 4
+    pascal = first_kind_table(ones(5), 5)
     total = ZERO
     for i in range(4):
-        total = total + binomial(1 + i, 1)
-    assert binomial(5, 2) == total
+        total = total + pascal[1 + i][1]
+    assert pascal[5][2] == total == as_scalar(10)
 
 
 def test_classical_identity_suite_passes():
@@ -344,10 +351,11 @@ def test_classical_identity_suite_passes():
 def test_q_hockey_stick_needs_q_weights():
     # the unweighted sum differs symbolically; the q-weighted one agrees
     n = k = 1
-    unweighted = q_binomial(k, k) + q_binomial(k + 1, k)
-    weighted = q_binomial(k, k) + qpow(1) * q_binomial(k + 1, k)
-    assert q_binomial(n + k + 1, k + 1) != unweighted
-    assert q_binomial(n + k + 1, k + 1) == weighted
+    gaussian = _gaussian_table(n + k + 1)
+    unweighted = gaussian[k][k] + gaussian[k + 1][k]
+    weighted = gaussian[k][k] + qpow(1) * gaussian[k + 1][k]
+    assert gaussian[n + k + 1][k + 1] != unweighted
+    assert gaussian[n + k + 1][k + 1] == weighted
 
 
 def test_weight_rules_materialize_to_closed_forms():
@@ -438,7 +446,9 @@ def test_empty_vector_in_every_route():
 def test_mixed_constant_and_polynomial_vector_takes_the_packed_ring(monkeypatch):
     w = WeightVector.of([2, Q, -3, ONE + Q**2, 5 * Q**3 - 1])
     k = len(w) + 1
-    assert _slot_bytes(w, k) == 4
+    # h_6 of the norms (2, 1, 3, 2, 6) is 243445, 18 bits: 3 bytes, where
+    # comb(10, 6) * 6^6 = 9797760 (24 bits) would take 4
+    assert _slot_bytes(w, k) == 3
     packed = _everything(w, k)
     _forced_onto_scalars(monkeypatch)
     assert _typed(packed) == _typed(_everything(w, k))
@@ -452,7 +462,7 @@ def _everything(w, k):
     out += [first_kind_table(w, n), second_kind_table(w, k, n)]
     out += [last_box_table(w, k, kind) for kind in ("first", "second")]
     out += [last_box_row(w, k, kind) for kind in ("first", "second")]
-    out += [second_kind_triangle_table(w, k), [second_kind_triangle(w, k, j) for j in range(min(k, n) + 1)]]
+    out += [second_kind_triangle_table(w, k)]
     out += [last_box_identity(w, k, kind) for kind in ("first", "second")]
     out += [split_identity(w, split, k) for split in range(n + 1)]
     return out
@@ -478,6 +488,11 @@ _WIDTH_CASES = [
     ([2**10 * Q], 3),
     ([as_scalar(2**20), Q + 1], 6),
     ([2**40 * Q, 2**40 + Q], None),
+    # h_2 of the norms (166, 27) is 2^15 - 1, the most a 2-byte slot holds,
+    # where comb(3, 2) * 166^2 = 82668 would take 3; norms (166, 28) give
+    # 32988, one byte more
+    ([166 * Q, as_scalar(27)], 2),
+    ([166 * Q, 1 + 27 * Q], 3),
     *(case for width in range(1, 9) for case in _square_edges(width)),
 ]
 
@@ -518,8 +533,8 @@ def test_first_kind_table_over_forty_q_powers_takes_the_packed_ring(monkeypatch)
 def _with_edge_cases(test):
     for weights, _ in _WIDTH_CASES:
         test = example(weights, 2)(test)
-    # h_7 of six copies of +-q is +-792 q^7: the comb(n+k-1, k) term of the
-    # bound takes the slot from 1 byte (M^k = 1) to 2
+    # h_7 of six copies of +-q is +-792 q^7: the pass over the norms, all 1,
+    # gives comb(12, 7) = 792, which takes the slot from 1 byte to 2
     for weights in ([Q] * 6, [-Q] * 6):
         test = example(weights, 7)(test)
     return test

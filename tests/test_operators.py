@@ -36,7 +36,7 @@ def test_qhat_of_qfact_is_multiplication_by_q():
 def test_qhat_powers():
     op = qhat(get_psi("qfact"), 10)
     for m in range(11):
-        assert (op**m).eigenvalue(m) == Q**m
+        assert (op**m).eigen[m] == Q**m
 
 
 def test_qhat_of_classical_is_identity_from_degree_one():
@@ -48,8 +48,8 @@ def test_qhat_of_fibonacci_varies_with_degree():
     op = qhat(get_psi("fibonacci"), 6)
     # (F_{m+1} - 1)/F_m: m=1 -> 0/1... careful: F_2=1 so (1-1)/1 = 0? no:
     # eigen[m] = ((m+1)_psi - 1)/m_psi with n_psi = F_n: m=2 -> (F_3-1)/F_2 = 1
-    assert op.eigenvalue(2) == ONE
-    assert op.eigenvalue(4) == (as_scalar(5) - 1) / as_scalar(3)
+    assert op.eigen[2] == ONE
+    assert op.eigen[4] == (as_scalar(5) - 1) / as_scalar(3)
     assert len(set(op.eigen)) > 1
 
 
@@ -69,7 +69,7 @@ def test_qhat_eigenvalues_at_every_depth(psi_name):
 
 def test_n_qhat_eigenvalues():
     qf = get_psi("qfact")
-    assert n_qhat(qf, 4, 6).eigenvalue(3) == q_integer(4)
+    assert n_qhat(qf, 4, 6).eigen[3] == q_integer(4)
     assert n_qhat(qf, 1, 5) == DiagOp.identity(5)
     assert n_qhat(qf, 0, 5) == DiagOp.zero(5)
     cl = get_psi("classical")
@@ -125,10 +125,10 @@ def test_stirling_operators_reduce_to_arrays():
         for k in range(n + 1):
             s2 = stirling2_operator(qhat(qf, 5), n, k)
             assert all(v == psi_stirling_second(qf, n, k) for v in s2.eigen)
-            assert s2.eigenvalue(0).eval_q(1) == int_stirling2(n, k)
+            assert s2.eigen[0].eval_q(1) == int_stirling2(n, k)
             s1 = stirling1_operator(qhat(qf, 5), n, k)
             assert all(v == psi_stirling_first(qf, n, k) for v in s1.eigen)
-            assert s1.eigenvalue(0).eval_q(1) == int_stirling1(n, k)
+            assert s1.eigen[0].eval_q(1) == int_stirling1(n, k)
 
 
 def test_operator_arrays_reject_bad_indices():
@@ -201,12 +201,19 @@ def test_konkwa_table_runs_one_pass_per_distinct_eigenvalue_vector(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(konvalina, "_last_box_rows", counted)
-    # qhat(fibonacci) has eigenvalues 0, 0, 1, 1, 4/3, ... on x^0..x^7: 6 distinct
-    for psi_name, expected in (("qfact", 1), ("fibonacci", 6)):
+    # qhat(fibonacci) has eigenvalues 0, 0, 1, 1, 4/3, ... on x^0..x^7: 6
+    # distinct vectors of constants, one pass each.  qhat(qfact) gives every
+    # monomial the one vector ([1]_q, .., [4]_q) of int q-polynomials: one
+    # pass over its l1 norms (1, 2, 3, 4) sizes the packed slot, and one
+    # pass over its values fills the table
+    for psi_name, distinct, expected in (("qfact", 1, 2), ("fibonacci", 6, 6)):
         ow = n_qhat_entries(qhat(get_psi(psi_name), 7), 4)
         del passes[:]
         konkwa_table(ow, 3, "second")
-        assert len(passes) == len({ow.scalar_weights(m) for m in range(8)}) == expected
+        assert len({ow.scalar_weights(m) for m in range(8)}) == distinct
+        assert len(passes) == expected
+        if psi_name == "qfact":
+            assert passes[0][0] == [1, 2, 3, 4]
 
 
 def test_konkwa_table_rejects_an_unknown_kind():

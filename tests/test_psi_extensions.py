@@ -78,7 +78,13 @@ def test_table_matches_the_single_entries(monkeypatch, name):
         for kind, value in (("first", psi_stirling_first), ("second", psi_stirling_second)):
             del passes[:]
             table = psi_stirling_table(psi, rows, kind)
-            assert len(passes) == 1
+            # one pass over the values; qfact's weights past [1]_q are int
+            # q-polynomials not all constant, and their l1 norms take one
+            # pass first, which sizes the packed slot
+            weights = psi_weights(psi, rows - 1 if kind == "first" else rows)
+            constant = weights.constant_values() is not None
+            assert constant == (name != "qfact" or len(weights) < 2)
+            assert len(passes) == (1 if constant else 2)
             assert table == [[value(psi, n, k) for k in range(n + 1)] for n in range(rows + 1)]
 
 

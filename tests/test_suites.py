@@ -42,18 +42,21 @@ def test_operator_suite_computes_each_konkwa_value_once(monkeypatch):
     monkeypatch.setattr(suites, "konkwa_table", counted)
     assert suites.suite_operator().ok
     # One last-box pass per distinct eigenvalue vector per table.  Over
-    # qhat(qfact) every monomial sees the same vector: the three array tables
-    # and the four qfact shape tables take one pass each.  Over qhat(fibonacci)
-    # both shape entry vectors see 11 distinct vectors, once per kind.
+    # qhat(qfact) every monomial sees the same vector of int q-polynomials:
+    # the three array tables and the four qfact shape tables take one pass
+    # over its l1 norms, which sizes the packed slot, and one over its
+    # values.  Over qhat(fibonacci) both shape entry vectors see 11 distinct
+    # vectors of constants, once per kind.
     fib = operators.qhat(get_psi("fibonacci"), 12)
     distinct = [
         len({full.scalar_weights(m) for m in range(fib.depth + 1)})
         for full in (operators.n_qhat_entries(fib, 6), operators.qhat_power_entries(fib, 6))
     ]
     assert distinct == [11, 11]
-    assert per_table == [1] * 7 + [11] * 4
-    # the scalar q-array references are two more passes, one psi_stirling_table per kind
-    assert len(passes) == sum(per_table) + 2
+    assert per_table == [2] * 7 + [11] * 4
+    # the scalar q-array references are two psi_stirling_table calls over
+    # qfact, one per kind, each a pass over the norms and one over the values
+    assert len(passes) == sum(per_table) + 4
 
 
 def test_oracle_suite_enumerates_each_second_kind_value_once(monkeypatch):

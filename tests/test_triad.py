@@ -1,6 +1,8 @@
 """Coefficient triangles, dual polynomial sequences, and the connection identity."""
 
 import json
+from collections import Counter
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -255,30 +257,39 @@ wide_int_polynomials = st.integers(0, 40).flatmap(
 
 
 @st.composite
-def unit_i_specs(draw):
-    """Lists of exactly ``rows`` entries: i = +-1, q and d int q-polynomials, d(k) != 0 for k >= 1."""
+def unit_i_specs(draw, i_entries=st.sampled_from((ONE, -ONE))):
+    """Lists of exactly ``rows`` entries: i from ``i_entries`` (+-1 by default), q and d int q-polynomials.
+
+    d(k) != 0 for k >= 1.
+    """
     rows = draw(st.integers(0, 12))
-    i_seq = draw(st.lists(st.sampled_from((ONE, -ONE)), min_size=rows, max_size=rows))
+    i_seq = draw(st.lists(i_entries, min_size=rows, max_size=rows))
     q_seq = draw(st.lists(wide_int_polynomials, min_size=rows, max_size=rows))
     d_seq = draw(st.lists(wide_int_polynomials.filter(lambda s: not s.is_zero()), min_size=rows, max_size=rows))
     return TriadSpec.of(i_seq, q_seq, d_seq), rows
 
 
+# i = +-1/c: the duals multiply by 1/i = +-c, an int, and run packed; the
+# triangle multiplies by i itself and runs packed only where every c is 1
+reciprocal_i = st.builds(lambda sign, c: sign * ONE / c, st.sampled_from((1, -1)), st.integers(1, 9))
+
+
 @settings(deadline=None, max_examples=60)
-@given(unit_i_specs())
+@given(unit_i_specs(reciprocal_i))
 def test_packed_recurrences_match_the_scalar_loops(case):
     spec, rows = case
     with pytest.MonkeyPatch.context() as monkeypatch:
         packed = _spy_packed(monkeypatch)
         table, phis = coefficient_table(spec, rows), dual_polynomials(spec, rows)
-        assert len(packed) == 2 and None not in packed
+        units = all(spec.i_seq(k) in (ONE, -ONE) for k in range(rows))
+        assert [result is None for result in packed] == [not units, False]
     with pytest.MonkeyPatch.context() as monkeypatch:
         _forced_onto_scalars(monkeypatch)
         scalar_table, scalar_phis = coefficient_table(spec, rows), dual_polynomials(spec, rows)
-    assert [_typed(row) for row in table.rows] == [_typed(row) for row in scalar_table.rows]
-    assert [_typed(phi.coeffs) for phi in phis] == [_typed(phi.coeffs) for phi in scalar_phis]
-    assert list(table.rows) == _interleaved_table(spec, rows)
-    assert phis == _interleaved_duals(spec, rows)
+    interleaved = _interleaved_table(spec, rows), _interleaved_duals(spec, rows)
+    for other_table, other_phis in ((scalar_table.rows, scalar_phis), interleaved):
+        assert [_typed(row) for row in table.rows] == [_typed(row) for row in other_table]
+        assert [_typed(phi.coeffs) for phi in phis] == [_typed(phi.coeffs) for phi in other_phis]
 
 
 def test_i_off_plus_minus_one_or_off_int_polynomials_takes_the_scalar_loops(monkeypatch):
@@ -290,8 +301,10 @@ def test_i_off_plus_minus_one_or_off_int_polynomials_takes_the_scalar_loops(monk
     ):
         assert list(coefficient_table(spec, 3).rows) == _interleaved_table(spec, 3)
         assert dual_polynomials(spec, 3) == _interleaved_duals(spec, 3)
-    # the triangle reads no i off +-1 and packs the first spec; the duals do not
-    assert [result is None for result in packed] == [False, True, True, True, True]
+    # the triangle reads no i off +-1 and packs the first spec; every spec's
+    # duals consult _packed_terms, and none packs: the first multiplies by
+    # 1/i(1) = 1/2, the second by -q(1) = -1/(1 + q), the third by -d(1) = -q/2
+    assert [result is None for result in packed] == [False, True, True, True, True, True]
 
 
 @st.composite
@@ -412,6 +425,33 @@ def test_two_point_check_gives_the_lines_of_the_scalar_route(case, data):
     assert (lines, checks) == ([(False, f"n={n}: residual {dual_polynomials(spec, rows)[k]}")], [False])
 
 
+def test_connection_reads_each_value_as_often_on_and_off_the_two_point_check(monkeypatch):
+    # each route runs both recurrences on the values verify_connection read:
+    # i, q at 0..rows-1 and d at 1..rows-1, once for the triangle and once
+    # for the duals, whether or not the check runs at two points
+    rows = 6
+    checks = _two_point_results(monkeypatch)
+    counts = []
+    for i in ([1, -1] * 3, [1, Fraction(1, 2)] * 3):
+        reads = Counter()
+
+        def counted(name, values):
+            def rule(k):
+                reads[name, k] += 1
+                return values[k]
+
+            return rule
+
+        q, d = [Q + k for k in range(rows)], [0] + [2 * Q] * (rows - 1)
+        spec = TriadSpec.of(counted("i", i), counted("q", q), counted("d", d))
+        assert verify_connection(spec, rows).ok
+        counts.append(reads)
+    assert checks == [True, False]
+    assert counts[0] == counts[1]
+    read = {(name, k) for name in "iq" for k in range(rows)} | {("d", k) for k in range(1, rows)}
+    assert counts[0] == dict.fromkeys(read, 2)
+
+
 def test_a_residual_that_vanishes_at_one_point_is_refused(monkeypatch):
     spec, rows = gauss_spec(), 6
     values, dual_values = triad._triangle_values(spec, rows), triad._dual_values(spec, rows)
@@ -444,7 +484,7 @@ def test_a_residual_that_vanishes_at_one_point_is_refused(monkeypatch):
 def test_connection_bound_covers_every_cell_and_product(case):
     spec, rows = case
     values = triad._triangle_values(spec, rows)
-    signed = triad._unit_dual_sequences(*triad._dual_values(spec, rows))
+    signed = triad._dual_values(spec, rows)
     bound = triad._connection_bound(_l1_norms((*values, *signed)), rows)
     table, phis = coefficient_table(spec, rows), dual_polynomials(spec, rows)
 
