@@ -42,13 +42,12 @@ from .konvalina import (
     qpowers,
     second_kind,
     second_kind_oracle,
-    second_kind_table,
     second_kind_triangle_table,
     split_identity,
 )
-from .families import FAMILIES, NotATriadError, cross_check, family_table, family_triad, family_value
-from .psi import PsiSequence, classical_psi, fibonacci_psi, get_psi, n_psi, psi_factorial, psi_falling, qfact_psi
-from .psi_extensions import comtet_transform, psi_stirling_first, psi_stirling_second, psi_weights
+from .families import FAMILIES, cross_check, family_table, family_value
+from .psi import PsiSequence, classical_psi, fibonacci_psi, get_psi, n_psi, qfact_psi
+from .psi_extensions import psi_stirling_table, psi_weights
 from .operators import (
     DepthExceededError,
     DiagOp,
@@ -56,7 +55,6 @@ from .operators import (
     binomial_operator,
     konkwa_first_kind,
     konkwa_second_kind,
-    n_qhat,
     n_qhat_entries,
     qhat,
     qhat_power_entries,

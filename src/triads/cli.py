@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .families import FAMILIES, family_table
-from .konvalina import WEIGHT_RULES, WeightVector, first_kind, first_kind_table, second_kind, second_kind_table
+from .konvalina import WEIGHT_RULES, WeightVector, first_kind, first_kind_table, last_box_table, second_kind
 from .operators import OPERATOR_ARRAYS, qhat
 from .poly import parse_poly
 from .psi import PSI_NAMES, get_psi
@@ -132,7 +132,7 @@ def _cmd_konvalina(args) -> int:
         if args.kind == "first":
             rows = first_kind_table(w, len(w))
         else:
-            rows = second_kind_table(w, len(w), len(w))
+            rows = last_box_table(w, len(w), "second")
         _emit_table(args, rows, "weights", args.weights)
         return 0
     value = first_kind(w, args.k) if args.kind == "first" else second_kind(w, args.k)

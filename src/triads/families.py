@@ -9,33 +9,28 @@ last-box pass, and ``family_value`` reads the same table:
                              second kind, n-k balls over weights (1..k)
   stirling1   [n k]        = psi_stirling_table(classical, rows, "first"):
                              first kind, n-k from weights (1..n-1)
-  gauss       binom(n,k)_q = second_kind_table(qpowers(rows+1), rows, rows+1)[n-k+1][k]:
+  gauss       binom(n,k)_q = last_box_table(qpowers(rows+1), rows, "second")[n-k+1][k]:
                              second kind, k balls over (1, q, .., q^(n-k))
 
 A family's triad is the builtin spec of the same name in
 ``triad.BUILTIN_SPECS``, whose coefficient triangle must reproduce the
 same values; stirling1 satisfies the first-kind two-term recurrence but
-no triad produces its triangle, so asking for its triad raises
-:class:`NotATriadError`.
+no triad produces its triangle, so :func:`cross_check` refuses it.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .konvalina import check_triangle, first_kind_table, ones, qpowers, second_kind_table
+from .konvalina import check_triangle, first_kind_table, last_box_table, ones, qpowers
 from .psi import get_psi
 from .psi_extensions import psi_stirling_table
 from .scalar import Scalar
-from .triad import BUILTIN_SPECS, SuiteResult, TriadSpec, coefficient_table
-
-
-class NotATriadError(ValueError):
-    """The family has no dual polynomial sequence / triad presentation."""
+from .triad import BUILTIN_SPECS, SuiteResult, coefficient_table
 
 
 def _gauss_table(rows: int) -> list[list[Scalar]]:
-    states = second_kind_table(qpowers(rows + 1), rows, rows + 1)
+    states = last_box_table(qpowers(rows + 1), rows, "second")
     return [[states[n - k + 1][k] for k in range(n + 1)] for n in range(rows + 1)]
 
 
@@ -64,21 +59,18 @@ def family_table(name: str, rows: int) -> list[list[Scalar]]:
     return _table_fn(name)(rows)
 
 
-def family_triad(name: str) -> TriadSpec:
-    """The builtin triad spec that presents the family."""
-    _table_fn(name)  # refuses a name that is no family
-    if name not in BUILTIN_SPECS:
-        raise NotATriadError(f"family {name!r} has no triad presentation")
-    return BUILTIN_SPECS[name]()
-
-
 def cross_check(name: str, rows: int) -> SuiteResult:
     """Compare the family's triad triangle entrywise with its weighted mapping.
 
-    One FAIL line per mismatching (n, k); one PASS line if there is none.
+    The triad is the builtin spec of the family's name; a family without
+    one is refused.  One FAIL line per mismatching (n, k); one PASS line if
+    there is none.
     """
-    table = coefficient_table(family_triad(name), rows)
-    values = family_table(name, rows)
+    table_fn = _table_fn(name)
+    if name not in BUILTIN_SPECS:
+        raise ValueError(f"family {name!r} has no triad presentation")
+    table = coefficient_table(BUILTIN_SPECS[name](), rows)
+    values = table_fn(rows)
     report = SuiteResult(f"cross-check {name}")
     for n in range(rows + 1):
         for k in range(n + 1):

@@ -16,7 +16,7 @@ against each other:
   * one last-box pass, ``_last_box_rows``, adding the boxes one at a
     time; the kinds differ only in the order it updates the columns.
     ``first_kind`` / ``second_kind`` read one value of its last state, and
-    ``last_box_table`` and the ``*_table`` builders copy every state, so a
+    ``last_box_table`` and ``first_kind_table`` copy every state, so a
     whole table of one weight vector is one pass.  ``last_box_identity``
     and ``split_identity`` check every k' <= k at once: they read the lhs
     at every k' from one pass per kind, and sum the states of one more pass
@@ -233,15 +233,6 @@ def first_kind_table(w: WeightVector, rows: int) -> list[list[Scalar]]:
     values, zero, one, wrap = _ring(w.prefix(rows), rows, "first")
     states = _last_box_rows(values, rows, "first", zero, one)
     return [[wrap(v) for v in dp[: n + 1]] for n, dp in enumerate(states)]
-
-
-def second_kind_table(w: WeightVector, k_max: int, n_max: int) -> list[list[Scalar]]:
-    """Rectangular table: entry [n][k] is the second-kind value for n boxes."""
-    if k_max < 0 or n_max < 0:
-        raise ValueError("table sizes must be nonnegative")
-    if n_max > len(w):
-        raise ValueError(f"table over {n_max} boxes needs {n_max} weights, got {len(w)}")
-    return last_box_table(w.prefix(n_max), k_max, "second")
 
 
 def last_box_table(w: WeightVector, k_max: int, kind: str) -> list[list[Scalar]]:

@@ -34,7 +34,7 @@ from . import konvalina
 from .konvalina import WeightVector, check_triangle
 from .poly import Poly
 from .psi import PsiSequence, n_psi
-from .scalar import ONE, Scalar, ZERO, as_scalar
+from .scalar import ONE, Scalar, as_scalar
 
 
 class DepthExceededError(ValueError):
@@ -54,10 +54,6 @@ class DiagOp:
     @classmethod
     def identity(cls, depth: int) -> "DiagOp":
         return cls([ONE] * (depth + 1))
-
-    @classmethod
-    def zero(cls, depth: int) -> "DiagOp":
-        return cls([ZERO] * (depth + 1))
 
     @property
     def depth(self) -> int:
@@ -110,15 +106,6 @@ def qhat(psi: PsiSequence, depth: int) -> DiagOp:
     # the ratios at m = 1..depth; eigen[0] repeats the one at m = 1
     ratios = [(n_psi(psi, m + 1) - ONE) / n_psi(psi, m) for m in range(1, max(depth, 1) + 1)]
     return DiagOp(ratios[:1] + ratios[:depth])
-
-
-def n_qhat(psi: PsiSequence, n: int, depth: int) -> DiagOp:
-    """Geometric sum 1 + qhat + ... + qhat^(n-1); the zero operator at n = 0."""
-    if n < 0:
-        raise ValueError("n_qhat expects n >= 0")
-    if n == 0:
-        return DiagOp.zero(depth)
-    return n_qhat_entries(qhat(psi, depth), n).entries[-1]
 
 
 @dataclass(frozen=True)

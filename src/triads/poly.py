@@ -122,13 +122,6 @@ class Poly:
             return P_ZERO
         return Poly._raw(tuple(c * s for c in self.coeffs))
 
-    def times_x(self) -> "Poly":
-        """Multiply by x, raising the degree by one."""
-        if self.is_zero():
-            return P_ZERO
-        _check_degree(self.degree() + 1)
-        return Poly._raw((ZERO,) + self.coeffs)
-
     def eval(self, s: Scalar | int | Fraction) -> Scalar:
         """Horner evaluation at a Scalar point."""
         s = as_scalar(s)

@@ -65,23 +65,6 @@ def n_psi(psi: PsiSequence, n: int) -> Scalar:
     return cached
 
 
-def psi_factorial(psi: PsiSequence, n: int) -> Scalar:
-    """1/psi_n, the telescoping product n_psi * (n-1)_psi * ... * 1_psi."""
-    if n < 0:
-        raise ValueError("psi_factorial expects n >= 0")
-    return ONE / psi.value(n)
-
-
-def psi_falling(psi: PsiSequence, n: int, k: int) -> Scalar:
-    """Descending product n_psi * (n-1)_psi * ... * (n-k+1)_psi."""
-    if not 0 <= k <= n:
-        raise ValueError(f"psi_falling expects 0 <= k <= n, got n={n}, k={k}")
-    product = ONE
-    for j in range(n, n - k, -1):
-        product = product * n_psi(psi, j)
-    return product
-
-
 def _fibonacci(n: int) -> int:
     a, b = 0, 1
     for _ in range(n):

@@ -9,16 +9,15 @@ machinery into deformed Stirling triangles: with the canonical choice
 
 Under the qfact sequence these are the q-Stirling numbers; under the
 classical sequence, and at q = 1, the classical ones, which is where
-``families`` reads its stirling1/stirling2 values.  ``comtet_transform``
-converts between the two common q-conventions by the q^(k choose 2)
-factor.
+``families`` reads its stirling1/stirling2 values.  A whole triangle is
+one last-box pass, :func:`psi_stirling_table`.
 """
 
 from __future__ import annotations
 
-from .konvalina import WeightVector, check_triangle, first_kind, last_box_table, second_kind
+from .konvalina import WeightVector, last_box_table
 from .psi import PsiSequence, n_psi
-from .scalar import Scalar, qpow
+from .scalar import Scalar
 
 
 def psi_weights(psi: PsiSequence, n: int) -> WeightVector:
@@ -26,35 +25,17 @@ def psi_weights(psi: PsiSequence, n: int) -> WeightVector:
     return WeightVector(tuple(n_psi(psi, j) for j in range(1, n + 1)))
 
 
-def psi_stirling_first(psi: PsiSequence, n: int, k: int) -> Scalar:
-    """Deformed Stirling triangle of the first kind."""
-    check_triangle(n, k)
-    return first_kind(psi_weights(psi, n - 1), n - k)
-
-
-def psi_stirling_second(psi: PsiSequence, n: int, k: int) -> Scalar:
-    """Deformed Stirling triangle of the second kind."""
-    check_triangle(n, k)
-    return second_kind(psi_weights(psi, k), n - k)
-
-
 def psi_stirling_table(psi: PsiSequence, rows: int, kind: str) -> list[list[Scalar]]:
     """Rows n = 0..rows of the deformed Stirling triangle of the kind, from one last-box pass.
 
-    Entry [n][k], k <= n, is psi_stirling_first(psi, n, k) for kind "first":
-    state [max(n-1, 0)][n-k] of the pass over (1_psi .. (rows-1)_psi); and
-    psi_stirling_second(psi, n, k) for kind "second": state [k][n-k] of the
-    pass over (1_psi .. rows_psi).
+    Entry [n][k], k <= n, is [n k]_psi for kind "first": the first kind
+    n-k over (1_psi .. (n-1)_psi), state [max(n-1, 0)][n-k] of the pass over
+    (1_psi .. (rows-1)_psi); and {n k}_psi for kind "second": the second kind
+    n-k over (1_psi .. k_psi), state [k][n-k] of the pass over
+    (1_psi .. rows_psi).
     """
     if kind == "first":
         states = last_box_table(psi_weights(psi, rows - 1), rows, kind)
         return [[states[max(n - 1, 0)][n - k] for k in range(n + 1)] for n in range(rows + 1)]
     states = last_box_table(psi_weights(psi, rows), rows, kind)
     return [[states[k][n - k] for k in range(n + 1)] for n in range(rows + 1)]
-
-
-def comtet_transform(k: int, value: Scalar) -> Scalar:
-    """Multiply by q^(k choose 2), mapping between the two q-Stirling conventions."""
-    if k < 0:
-        raise ValueError("comtet_transform expects k >= 0")
-    return value * qpow(k * (k - 1) // 2)

@@ -436,11 +436,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return self.den.is_one() and self.num.degree() == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a rational constant: {self}")
-        return Fraction(self.num.coeffs[0])
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -453,6 +448,11 @@ class Scalar:
                 return NotImplemented
         if self.den.coeffs == _UNIT == other.den.coeffs:
             return Scalar._raw(self.num + other.num, QP_ONE)
+        # x + 0 is x; without this, a zero costs a full gcd in _canonical
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         num = self.num * other.den + other.num * self.den
         return Scalar(num, self.den * other.den)
 

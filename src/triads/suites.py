@@ -32,10 +32,10 @@ from .konvalina import (
     WeightVector,
     first_kind_oracle,
     first_kind_table,
+    last_box_table,
     ones,
     qpowers,
     second_kind_oracle,
-    second_kind_table,
     second_kind_triangle_table,
 )
 from .operators import konkwa_table, n_qhat_entries, qhat, qhat_power_entries
@@ -103,7 +103,7 @@ def suite_konvalina_oracle(seed: int = DEFAULT_SEED) -> SuiteResult:
         w = _random_weights(rng)
         n = len(w)
         ct = first_kind_table(w, n)
-        st = second_kind_table(w, n, n)
+        st = last_box_table(w, n, "second")
         # entry [m + k][m] is the second kind k over the first m boxes
         tri = second_kind_triangle_table(w, 2 * n)
         for m in range(n + 1):

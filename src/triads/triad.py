@@ -232,8 +232,7 @@ def _dual_values(spec: TriadSpec, count: int) -> tuple[list, list, list]:
 def _dual_rows(r: Sequence, q: Sequence, d: Sequence, count: int, zero, one, times: Callable) -> list[list]:
     """phi_{k+1} = r(k)*(x*phi_k + q(k)*phi_k + d(k)*phi_{k-1}) over a ring, as x-coefficient lists.
 
-    Called with r = 1/i, -q and -d, this is the dual recurrence.  A d(k)
-    that is false, a zero Scalar or norm, adds nothing and is skipped.  Over
+    Called with r = 1/i, -q and -d, this is the dual recurrence.  Over
     the l1 norms of the values, with ``mul``, each entry is a bound on the
     l1 norm of the coefficients of the entry it stands for.
     """
@@ -243,7 +242,7 @@ def _dual_rows(r: Sequence, q: Sequence, d: Sequence, count: int, zero, one, tim
         top = [zero, *current]
         for j, c in enumerate(current):
             top[j] += times(q[k], c)
-        if k >= 1 and d[k]:
+        if k >= 1:
             for j, c in enumerate(phis[k - 1]):
                 top[j] += times(d[k], c)
         phis.append([times(r[k], c) for c in top])

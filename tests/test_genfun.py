@@ -68,9 +68,9 @@ def test_second_kind_series_classical_column_two():
     # {n 2} = 1, 3, 7, 15, ... against x^2/((1-x)(1-2x))
     cl = get_psi("classical")
     assert check_stirling2_series(cl, 2, 8)
-    from triads.psi_extensions import psi_stirling_second
+    from triads.psi_extensions import psi_stirling_table
 
-    values = [psi_stirling_second(cl, n, 2) for n in range(2, 9)]
+    values = [row[2] for row in psi_stirling_table(cl, 8, "second")[2:]]
     assert values == [as_scalar(2 ** (n - 1) - 1) for n in range(2, 9)]
 
 

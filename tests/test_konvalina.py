@@ -24,7 +24,6 @@ from triads.konvalina import (
     qpowers,
     second_kind,
     second_kind_oracle,
-    second_kind_table,
     second_kind_triangle_table,
     split_identity,
 )
@@ -59,14 +58,13 @@ def test_first_kind_table_rows():
 
 
 def test_second_kind_table_values():
-    table = second_kind_table(WeightVector.of([1, 2]), 2, 2)
-    assert table[2][2] == as_scalar(7)
+    table = last_box_table(WeightVector.of([1, 2]), 2, "second")
+    assert table[2][2] == as_scalar(7)  # 1*1 + 1*2 + 2*2
     assert all(row[0] == ONE for row in table)
-    assert second_kind_table(WeightVector.of([ONE, Q]), 1, 2)[2][1] == ONE + Q
-    assert second_kind_table(ones(2), 0, 0) == [[ONE]]
-    for k_max, n_max in ((-1, 2), (2, -1)):
-        with pytest.raises(ValueError):
-            second_kind_table(ones(2), k_max, n_max)
+    assert last_box_table(WeightVector.of([ONE, Q]), 1, "second")[2][1] == ONE + Q
+    assert last_box_table(ones(0), 0, "second") == [[ONE]]
+    with pytest.raises(ValueError):
+        last_box_table(ones(2), -1, "second")
 
 
 def test_triangle_reindexing_matches_substitution():
@@ -175,9 +173,8 @@ def test_recurrence_rows_match_enumeration(values, k):
         row = _last_row(values, k, kind, zero, one)
         assert [wrap(v) for v in row] == [oracle(w, j) for j in range(k + 1)]
     n = len(w)
-    first_rows, second_rows = first_kind_table(w, n), second_kind_table(w, k, n)
+    first_rows, second_rows = first_kind_table(w, n), last_box_table(w, k, "second")
     first_states = last_box_table(w, k, "first")
-    assert second_rows == last_box_table(w, k, "second")
     for m in range(n + 1):
         prefix = w.prefix(m)
         assert first_rows[m] == [first_kind_oracle(prefix, j) for j in range(m + 1)]
@@ -214,7 +211,7 @@ def test_integral_results_come_back_as_int_coefficients():
         first_kind(half, 1),
         second_kind(half, 1),
         first_kind_table(half, 2)[2][1],
-        second_kind_table(half, 1, 2)[2][1],
+        last_box_table(half, 1, "second")[2][1],
         second_kind_triangle_table(half, 3)[3][2],
     )
     for value in values:
@@ -229,7 +226,7 @@ def test_mixed_constant_and_symbolic_vector_matches_oracles():
         assert second_kind(w, k) == second_kind_oracle(w, k)
         assert last_box_identity(w, k, "first") and last_box_identity(w, k, "second")
         assert all(split_identity(w, split, k) for split in range(len(w) + 1))
-    table = second_kind_table(w, 3, len(w))
+    table = last_box_table(w, 3, "second")
     for m in range(len(w) + 1):
         assert first_kind_table(w, len(w))[m] == [first_kind_oracle(w.prefix(m), j) for j in range(m + 1)]
         assert table[m] == [second_kind_oracle(w.prefix(m), j) for j in range(4)]
@@ -427,7 +424,7 @@ def test_k_zero_packs_the_weights_themselves(coeff, width):
     assert _slot_bytes(w, 0) == width
     assert second_kind(w, 0) == ONE and first_kind(w, 0) == ONE
     assert second_kind(w, 1) == w.weights[0] == first_kind(w, 1)
-    assert second_kind_table(w, 0, 1) == [[ONE], [ONE]]
+    assert last_box_table(w, 0, "second") == [[ONE], [ONE]]
     assert last_box_table(w, 1, "first") == [[ONE, ZERO], [ONE, w.weights[0]]]
     assert second_kind_triangle_table(w, 0) == [[ONE, ZERO]]
 
@@ -437,7 +434,7 @@ def test_empty_vector_in_every_route():
     assert first_kind(w, 0) == second_kind(w, 0) == first_kind_oracle(w, 0) == ONE
     assert first_kind(w, 2) == second_kind(w, 2) == second_kind_oracle(w, 2) == ZERO
     assert first_kind_table(w, 0) == [[ONE]]
-    assert second_kind_table(w, 2, 0) == [[ONE, ZERO, ZERO]]
+    assert last_box_table(w, 2, "second") == [[ONE, ZERO, ZERO]]
     assert last_box_row(w, 2, "second") == [ONE, ZERO, ZERO]
     assert second_kind_triangle_table(w, 2) == [[ONE], [ZERO], [ZERO]]
     assert last_box_identity(w, 3, "first") and last_box_identity(w, 3, "second") and split_identity(w, 0, 3)
@@ -459,7 +456,7 @@ def _everything(w, k):
     n = len(w)
     out = [[first_kind(w, j) for j in range(-1, k + 2)], [second_kind(w, j) for j in range(-1, k + 2)]]
     out += [first_kind_oracle(w, k), second_kind_oracle(w, k)]
-    out += [first_kind_table(w, n), second_kind_table(w, k, n)]
+    out += [first_kind_table(w, n)]
     out += [last_box_table(w, k, kind) for kind in ("first", "second")]
     out += [last_box_row(w, k, kind) for kind in ("first", "second")]
     out += [second_kind_triangle_table(w, k)]

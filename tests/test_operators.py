@@ -12,7 +12,6 @@ from triads.operators import (
     konkwa_first_kind,
     konkwa_second_kind,
     konkwa_table,
-    n_qhat,
     n_qhat_entries,
     qhat,
     qhat_power_entries,
@@ -21,7 +20,7 @@ from triads.operators import (
 )
 from triads.poly import P_ZERO, parse_poly, x_power
 from triads.psi import get_psi, n_psi
-from triads.psi_extensions import psi_stirling_first, psi_stirling_second
+from triads.psi_extensions import psi_stirling_table
 from triads.scalar import ONE, Q, ZERO, as_scalar, q_integer
 
 from .oracles import int_stirling1, int_stirling2, q_binomial_by_factorials
@@ -69,16 +68,15 @@ def test_qhat_eigenvalues_at_every_depth(psi_name):
 
 def test_n_qhat_eigenvalues():
     qf = get_psi("qfact")
-    assert n_qhat(qf, 4, 6).eigen[3] == q_integer(4)
-    assert n_qhat(qf, 1, 5) == DiagOp.identity(5)
-    assert n_qhat(qf, 0, 5) == DiagOp.zero(5)
+    assert n_qhat_entries(qhat(qf, 6), 4).entries[3].eigen[3] == q_integer(4)
+    assert n_qhat_entries(qhat(qf, 5), 1).entries == (DiagOp.identity(5),)
     cl = get_psi("classical")
-    assert all(v == as_scalar(7) for v in n_qhat(cl, 7, 5).eigen)
+    assert all(v == as_scalar(7) for v in n_qhat_entries(qhat(cl, 5), 7).entries[6].eigen)
 
 
 def test_diagonal_algebra_is_commutative():
     qf = get_psi("fibonacci")
-    a = n_qhat(qf, 3, 8)
+    a = n_qhat_entries(qhat(qf, 8), 3).entries[2]
     b = qhat(qf, 8) + DiagOp.identity(8)
     assert a * b == b * a
     assert (a + b) == (b + a)
@@ -121,13 +119,14 @@ def test_binomial_operator_reduces_to_q_binomial():
 
 def test_stirling_operators_reduce_to_arrays():
     qf = get_psi("qfact")
+    first, second = psi_stirling_table(qf, 6, "first"), psi_stirling_table(qf, 6, "second")
     for n in range(7):
         for k in range(n + 1):
             s2 = stirling2_operator(qhat(qf, 5), n, k)
-            assert all(v == psi_stirling_second(qf, n, k) for v in s2.eigen)
+            assert all(v == second[n][k] for v in s2.eigen)
             assert s2.eigen[0].eval_q(1) == int_stirling2(n, k)
             s1 = stirling1_operator(qhat(qf, 5), n, k)
-            assert all(v == psi_stirling_first(qf, n, k) for v in s1.eigen)
+            assert all(v == first[n][k] for v in s1.eigen)
             assert s1.eigen[0].eval_q(1) == int_stirling1(n, k)
 
 
@@ -230,7 +229,7 @@ def test_entries_are_powers_and_geometric_sums():
             assert powers.entries[i - 1].eigen[m] == lam ** (i - 1)
             assert sums.entries[i - 1].eigen[m] == sum((lam**j for j in range(i)), ZERO)
         # i-th entry is the geometric sum of the base
-        assert sums.entries[i - 1] == n_qhat(get_psi("fibonacci"), i, 6)
+        assert sums.entries[i - 1] == sum((base**j for j in range(1, i)), DiagOp.identity(6))
 
 
 def test_operator_suite_builds_qhat_once_per_sequence(monkeypatch):

@@ -20,12 +20,6 @@ def test_addition():
     assert (X - P_ONE) + P_ONE == X
 
 
-def test_times_x():
-    assert P_ONE.times_x() == X
-    assert (X - P_ONE).times_x() == parse_poly("x^2 - x")
-    assert P_ZERO.times_x() == P_ZERO
-
-
 def test_eval():
     assert ((X - P_ONE) ** 2).eval(1) == ZERO
     assert (X * (X - P_ONE)).eval(Q) == Q**2 - Q
@@ -50,7 +44,6 @@ def test_degree_cap_message_is_the_same_on_every_path():
         lambda: x_power(65),
         lambda: Poly([0] * 65 + [1]),
         lambda: x_power(40) * x_power(25),
-        lambda: x_power(64).times_x(),
     )
     for path in paths:
         with pytest.raises(DegreeLimitError) as info:

@@ -10,11 +10,9 @@ from triads.psi import (
     fibonacci_psi,
     get_psi,
     n_psi,
-    psi_factorial,
-    psi_falling,
     qfact_psi,
 )
-from triads.scalar import ONE, Q, ZERO, as_scalar, parse_scalar, q_integer
+from triads.scalar import ONE, Q, ZERO, as_scalar, parse_scalar, q_factorial, q_integer
 
 
 def test_qfact_deformed_integer_is_q_integer():
@@ -49,18 +47,22 @@ def test_fibonacci_deformed_integers():
 
 
 def test_psi_factorial():
+    # 1/psi_n, the psi-factorial, is the q-factorial under qfact
     qf = qfact_psi()
-    assert psi_factorial(qf, 0) == ONE
-    assert psi_factorial(qf, 3) == (ONE + Q) * (ONE + Q + Q**2)
+    assert ONE / qf.value(0) == ONE
+    assert ONE / qf.value(3) == (ONE + Q) * (ONE + Q + Q**2)
     for n in range(11):
-        assert psi_factorial(qf, n) * qf.value(n) == ONE
+        assert q_factorial(n) * qf.value(n) == ONE
 
 
 def test_psi_factorial_telescopes():
+    # 1/psi_n = n_psi * (n-1)_psi * ... * 1_psi
     for name in ("qfact", "classical", "fibonacci"):
         psi = get_psi(name)
+        product = ONE
         for n in range(1, 11):
-            assert psi_factorial(psi, n) == n_psi(psi, n) * psi_factorial(psi, n - 1)
+            product = product * n_psi(psi, n)
+            assert ONE / psi.value(n) == product
 
 
 def test_n_psi_memo_matches_fresh_ratio():
@@ -70,16 +72,6 @@ def test_n_psi_memo_matches_fresh_ratio():
             memoized = n_psi(psi, n)
             assert memoized == psi.value(n - 1) / psi.value(n)
             assert n_psi(psi, n) is memoized
-
-
-def test_psi_falling():
-    qf = get_psi("qfact")
-    assert psi_falling(qf, 5, 0) == ONE
-    assert psi_falling(qf, 3, 2) == q_integer(3) * q_integer(2)
-    for n in range(8):
-        assert psi_falling(qf, n, n) == psi_factorial(qf, n)
-    with pytest.raises(ValueError):
-        psi_falling(qf, 3, 4)
 
 
 def test_sequence_values_and_convention():
@@ -106,4 +98,4 @@ def test_registry():
 def test_fibonacci_factorial_values():
     fib = fibonacci_psi()
     # 1 * 1 * 2 * 3 * 5 = 30
-    assert psi_factorial(fib, 5) == as_scalar(30)
+    assert ONE / fib.value(5) == as_scalar(30)

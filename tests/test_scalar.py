@@ -50,6 +50,20 @@ def test_zero_absorbs():
     assert x * ZERO == ZERO
 
 
+def test_adding_zero_runs_no_gcd(monkeypatch):
+    x = parse_scalar("(1 + q + 3*q^5 - q^9) / (1 + q^2 + 7*q^4)")
+
+    def refuse(*args):
+        raise AssertionError("x + 0 ran a gcd")
+
+    monkeypatch.setattr(QPoly, "gcd", refuse)
+    assert x + ZERO is x
+    assert ZERO + x is x
+    assert x + 0 is x and 0 + x is x
+    with pytest.raises(AssertionError, match="ran a gcd"):
+        x + ONE  # the shortcut is for zero only
+
+
 def test_multiplicative_inverse():
     x = (ONE + Q) / (ONE - Q)
     y = (ONE - Q) / (ONE + Q)

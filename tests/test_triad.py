@@ -215,7 +215,7 @@ def _interleaved_duals(spec, count):
         ik = spec.i_seq(k)
         if ik.is_zero():
             raise SingularTriadError(k)
-        top = phis[k].times_x() - phis[k].scale(spec.q_seq(k))
+        top = X * phis[k] - phis[k].scale(spec.q_seq(k))
         if k >= 1:
             top = top - phis[k - 1].scale(spec.d_seq(k))
         phis.append(top.scale(ONE / ik))
