@@ -38,6 +38,7 @@ from .konvalina import (
     first_kind_table,
     last_box_identity,
     naturals,
+    oracle_column,
     ones,
     qpowers,
     second_kind,

@@ -8,11 +8,18 @@ gives the second-kind coefficient -- the complete homogeneous h_k.
 Each kind comes in two computational routes that the test suite plays
 against each other:
 
-  * ``first_kind_oracle`` / ``second_kind_oracle`` -- direct enumeration
-    of the index tuples, one enumerator fed ``combinations`` or
-    ``combinations_with_replacement`` (the definitional, anti-regression
-    route; exponential, intended for the desk scale; it shares no code
-    with the recurrence),
+  * ``oracle_column``, ``first_kind_oracle`` and ``second_kind_oracle`` --
+    direct enumeration of the index tuples, one enumerator fed
+    ``combinations`` or ``combinations_with_replacement`` (the
+    definitional, anti-regression route; exponential, intended for the
+    desk scale; it shares no code with the recurrence).  It runs over the
+    weights in reverse order, where the tuples drawn from the first m
+    weights are a suffix of the enumeration, so one run gives the value
+    over every prefix: ``oracle_column`` returns them all, the two oracles
+    the last.  Each term is the product of one whole tuple taken in
+    descending box order, which is exact only over commuting weights;
+    every ring here commutes, but operator-valued weights would need the
+    products reordered before they reuse it,
   * one last-box pass, ``_last_box_rows``, adding the boxes one at a
     time; the kinds differ only in the order it updates the columns.
     ``first_kind`` / ``second_kind`` read one value of its last state, and
@@ -68,7 +75,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .scalar import ONE, Scalar, ZERO, _evaluate, _packed_scalar, _packed_width, as_scalar, qpow
@@ -126,25 +133,54 @@ WEIGHT_RULES = {"ones": ones, "naturals": naturals, "qpowers": qpowers}
 
 # -- definitional oracles ----------------------------------------------------
 
-def _enumerate(w: WeightVector, k: int, kind: str) -> Scalar:
-    """Sum of the products of the k-tuples of weights the kind draws: distinct boxes, or repeats allowed."""
+def _enumerate(w: WeightVector, k: int, kind: str) -> tuple[list, Callable]:
+    """The kind's value k over the first m weights for every m = 0..len(w), and the map back to Scalars.
+
+    One enumeration of the k-tuples the kind draws (distinct boxes, or
+    repeats allowed) over the weights in reverse order.  In lexicographic
+    order the tuples drawn from the first m weights are the last comb(m, k)
+    (first kind) or comb(m + k - 1, k) (second kind), so the products are
+    summed in runs, one run per box, and the running sum from the end is
+    the value over each prefix.  Every term is the product of one whole
+    tuple, in descending box order: the column is right only over a
+    commuting ring, as every ring of this module is.  Non-commuting
+    weights would need each tuple's product taken in ascending order.
+    """
+    n = len(w)
     if k < 0:
-        return ZERO
+        return [0] * (n + 1), as_scalar
     if k == 0:
-        return ONE
+        return [1] * (n + 1), as_scalar
     values, zero, _, wrap = _ring(w, k, kind)
-    index_tuples = combinations if kind == "first" else combinations_with_replacement
-    return wrap(sum(map(math.prod, index_tuples(values, k)), zero))
+    if kind == "first":
+        index_tuples, count = combinations, lambda m: math.comb(m, k)
+    else:
+        index_tuples, count = combinations_with_replacement, lambda m: math.comb(m + k - 1, k)
+    products = map(math.prod, index_tuples(values[::-1], k))
+    runs = [sum(islice(products, count(m) - count(m - 1)), zero) for m in range(n, 0, -1)]
+    column = [zero]
+    for run in reversed(runs):
+        column.append(column[-1] + run)
+    return column, wrap
+
+
+def oracle_column(w: WeightVector, k: int, kind: str) -> list[Scalar]:
+    """Entry [m] is the kind's value k over the first m weights, m = 0..len(w), by one enumeration."""
+    _check_kind(kind)
+    column, wrap = _enumerate(w, k, kind)
+    return [wrap(v) for v in column]
 
 
 def first_kind_oracle(w: WeightVector, k: int) -> Scalar:
     """Sum of products over strictly increasing index tuples (enumeration)."""
-    return _enumerate(w, k, "first")
+    column, wrap = _enumerate(w, k, "first")
+    return wrap(column[-1])
 
 
 def second_kind_oracle(w: WeightVector, k: int) -> Scalar:
     """Sum of products over weakly increasing index tuples (enumeration)."""
-    return _enumerate(w, k, "second")
+    column, wrap = _enumerate(w, k, "second")
+    return wrap(column[-1])
 
 
 # -- the last-box recurrence -------------------------------------------------

@@ -12,7 +12,11 @@ Wherever a suite compares two routes, the routes are independent: tables
 against definitional enumeration, operator eigenvalues against scalar
 arrays, scalar arrays against classical integer recurrences and
 ``math.comb``.  Each compared value is computed once and checked against
-every reference it meets.  A suite's parameters are exactly the verify
+every reference it meets.  The enumeration is read by column: one
+``oracle_column`` call per weight vector, k and kind gives the value over
+every prefix of the vector, and the tables' entries at those prefixes are
+compared with it.  The reference values are cached where they repeat
+across suites.  A suite's parameters are exactly the verify
 options it reads; every other size is a constant stated once, in the
 suite body.
 """
@@ -30,12 +34,12 @@ from .families import FAMILIES, cross_check, family_table
 from .genfun import check_stirling1_polynomial, check_stirling2_series
 from .konvalina import (
     WeightVector,
-    first_kind_oracle,
     first_kind_table,
     last_box_table,
+    naturals,
+    oracle_column,
     ones,
     qpowers,
-    second_kind_oracle,
     second_kind_triangle_table,
 )
 from .operators import konkwa_table, n_qhat_entries, qhat, qhat_power_entries
@@ -67,6 +71,7 @@ def _int_stirling1(n: int, k: int) -> int:
     return (n - 1) * _int_stirling1(n - 1, k) + _int_stirling1(n - 1, k - 1)
 
 
+@lru_cache(maxsize=None)
 def _q_binomial_by_factorials(n: int, k: int):
     # independent of the weighted-selection route
     return q_factorial(n) / (q_factorial(k) * q_factorial(n - k))
@@ -106,17 +111,17 @@ def suite_konvalina_oracle(seed: int = DEFAULT_SEED) -> SuiteResult:
         st = last_box_table(w, n, "second")
         # entry [m + k][m] is the second kind k over the first m boxes
         tri = second_kind_triangle_table(w, 2 * n)
-        for m in range(n + 1):
-            prefix = w.prefix(m)
-            for k in range(m + 1):
-                if ct[m][k] != first_kind_oracle(prefix, k):
+        for k in range(n + 1):
+            # one enumeration per column gives the value over every prefix
+            first = oracle_column(w, k, "first")
+            second = oracle_column(w, k, "second")
+            for m in range(n + 1):
+                if k <= m and ct[m][k] != first[m]:
                     first_ok = False
-            for k in range(n + 1):
-                # one enumeration over m boxes, against the table and the triangle
-                value = second_kind_oracle(prefix, k)
-                if st[m][k] != value:
+                # each second-kind value against the table and the triangle
+                if st[m][k] != second[m]:
                     second_ok = False
-                if tri[m + k][m] != value:
+                if tri[m + k][m] != second[m]:
                     triangle_ok = False
     result.check(first_ok, f"first-kind table == enumeration, {count} random vectors (len <= {_RANDOM_LEN_MAX})")
     result.check(second_ok, f"second-kind table == enumeration, {count} random vectors")
@@ -205,19 +210,25 @@ def suite_families(rows: int = 12) -> SuiteResult:
     result = SuiteResult("families")
     pascal_ok = stirling2_ok = stirling1_ok = gauss_ok = gauss_q1_ok = True
     tables = {name: family_table(name, rows) for name in FAMILIES}
+    # one enumeration per column c (c = k, or c = n - k), each over a vector
+    # whose prefix the entry (n, k) reads
+    pascal = [oracle_column(ones(rows), c, "first") for c in range(rows + 1)]
+    stirling2 = [oracle_column(naturals(rows - c), c, "second") for c in range(rows + 1)]
+    stirling1 = [oracle_column(naturals(max(rows - 1, 0)), c, "first") for c in range(rows + 1)]
+    gauss = [oracle_column(qpowers(rows - c + 1), c, "second") for c in range(rows + 1)]
     for n in range(rows + 1):
         for k in range(n + 1):
             pval = tables["pascal"][n][k]
-            pascal_ok = pascal_ok and pval == first_kind_oracle(ones(n), k)
+            pascal_ok = pascal_ok and pval == pascal[k][n]
             pascal_ok = pascal_ok and pval == as_scalar(math.comb(n, k))
             s2val = tables["stirling2"][n][k]
-            stirling2_ok = stirling2_ok and s2val == second_kind_oracle(konvalina.naturals(k), n - k)
+            stirling2_ok = stirling2_ok and s2val == stirling2[n - k][k]
             stirling2_ok = stirling2_ok and s2val == as_scalar(_int_stirling2(n, k))
             s1val = tables["stirling1"][n][k]
-            stirling1_ok = stirling1_ok and s1val == first_kind_oracle(konvalina.naturals(max(n - 1, 0)), n - k)
+            stirling1_ok = stirling1_ok and s1val == stirling1[n - k][max(n - 1, 0)]
             stirling1_ok = stirling1_ok and s1val == as_scalar(_int_stirling1(n, k))
             gval = tables["gauss"][n][k]
-            gauss_ok = gauss_ok and gval == second_kind_oracle(qpowers(n - k + 1), k)
+            gauss_ok = gauss_ok and gval == gauss[k][n - k + 1]
             gauss_ok = gauss_ok and gval == _q_binomial_by_factorials(n, k)
             gauss_q1_ok = gauss_q1_ok and gval.eval_q(1) == Fraction(math.comb(n, k))
     result.check(pascal_ok, f"pascal == unit-weight enumeration == math.comb, n <= {rows}")

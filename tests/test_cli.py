@@ -145,13 +145,19 @@ def test_verify_suite_triad_passes(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
-    import sys
 
+    import triads
+
+    # the child does not inherit pytest's pythonpath: hand it the package's own src
+    src = str(Path(triads.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "triads", "table", "--family", "pascal", "--rows", "2", "--format", "csv"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1", "1,1", "1,2,1"]

@@ -3,6 +3,9 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, combinations_with_replacement
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +23,7 @@ from triads.konvalina import (
     last_box_row,
     last_box_table,
     naturals,
+    oracle_column,
     ones,
     qpowers,
     second_kind,
@@ -182,6 +186,81 @@ def test_recurrence_rows_match_enumeration(values, k):
         assert first_states[m] == [first_kind_oracle(prefix, j) for j in range(k + 1)]
     assert last_box_identity(w, k, "first")
     assert last_box_identity(w, k, "second")
+
+
+def _enumerated_per_prefix(w, k, kind):
+    """The kind's value k over each prefix of w, each prefix enumerated on its own, over Scalars."""
+    if k < 0:
+        return [ZERO] * (len(w) + 1)
+    index_tuples = combinations if kind == "first" else combinations_with_replacement
+    return [
+        sum((reduce(mul, t, ONE) for t in index_tuples(w.prefix(m).weights, k)), ZERO) for m in range(len(w) + 1)
+    ]
+
+
+def _watch_enumerations(monkeypatch):
+    """Swap ``konvalina``'s tuple generators for counting ones: [drawn, generator] per enumeration."""
+    watched = []
+
+    def counting(real):
+        def counted(values, k):
+            tuples = real(values, k)
+            record = [0, tuples]
+            watched.append(record)
+
+            def draws():
+                for t in tuples:
+                    record[0] += 1
+                    yield t
+
+            return draws()
+
+        return counted
+
+    for name in ("combinations", "combinations_with_replacement"):
+        monkeypatch.setattr(konvalina, name, counting(getattr(konvalina, name)))
+    return watched
+
+
+_COLUMN_WEIGHTS = {
+    "int": lambda rng: rng.randint(-5, 5),
+    "fraction": lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+    "int-polynomial": lambda rng: (
+        as_scalar(rng.randint(-3, 3)) + as_scalar(rng.choice((-2, -1, 1, 2))) * qpow(rng.randint(1, 3))
+    ),
+    "rational-function": lambda rng: (ONE + as_scalar(rng.randint(-2, 2)) * Q) / (Q - rng.randint(2, 3)),
+}
+
+
+# the per-prefix reference over rational functions grows about 7x a box: 3 s at length 5
+@pytest.mark.parametrize(
+    "weights, length",
+    [(weights, length) for weights in _COLUMN_WEIGHTS for length in range(5 if weights == "rational-function" else 9)],
+)
+def test_oracle_column_matches_each_prefix_enumerated_alone(monkeypatch, weights, length):
+    rng = random.Random(f"{weights}:{length}")
+    w = WeightVector.of([_COLUMN_WEIGHTS[weights](rng) for _ in range(length)])
+    if weights == "int-polynomial" and length:
+        assert _slot_bytes(w, length + 1) is not None
+    watched = _watch_enumerations(monkeypatch)
+    for k in range(-1, length + 2):
+        for kind, oracle in (("first", first_kind_oracle), ("second", second_kind_oracle)):
+            del watched[:]
+            column = oracle_column(w, k, kind)
+            # one enumeration, every tuple drawn by the runs and none left over
+            drawn = [(count, next(rest, None)) for count, rest in watched]
+            if k <= 0:
+                assert drawn == []
+            else:
+                tuples = math.comb(length, k) if kind == "first" else math.comb(length + k - 1, k)
+                assert drawn == [(tuples, None)]
+            assert _typed(column) == _typed(_enumerated_per_prefix(w, k, kind))
+            assert oracle(w, k) == column[-1]
+
+
+def test_oracle_column_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="kind"):
+        oracle_column(ones(2), 1, "third")
 
 
 def _states(values, k, kind, zero, one):
@@ -456,6 +535,7 @@ def _everything(w, k):
     n = len(w)
     out = [[first_kind(w, j) for j in range(-1, k + 2)], [second_kind(w, j) for j in range(-1, k + 2)]]
     out += [first_kind_oracle(w, k), second_kind_oracle(w, k)]
+    out += [oracle_column(w, k, kind) for kind in ("first", "second")]
     out += [first_kind_table(w, n)]
     out += [last_box_table(w, k, kind) for kind in ("first", "second")]
     out += [last_box_row(w, k, kind) for kind in ("first", "second")]

@@ -60,11 +60,13 @@ def test_operator_suite_computes_each_konkwa_value_once(monkeypatch):
 
 
 def test_oracle_suite_enumerates_each_second_kind_value_once(monkeypatch):
+    # one enumeration per (vector, k, kind) gives the values over every prefix
     rng = random.Random(7)
-    expected = sum((len(suites._random_weights(rng)) + 1) ** 2 for _ in range(200))
-    calls = _counting(monkeypatch, suites, "second_kind_oracle")
+    expected = sum(2 * (len(suites._random_weights(rng)) + 1) for _ in range(200))
+    calls = _counting(monkeypatch, suites, "oracle_column")
     assert suites.suite_konvalina_oracle(seed=7).ok
-    assert len(calls) == expected == 6841
+    assert len(calls) == expected == 2170
+    assert sorted(kind for _, _, kind in calls) == ["first"] * 1085 + ["second"] * 1085
 
 
 def _failed_by(fault, run):
@@ -87,6 +89,45 @@ def _doubled_entry(real, n, k):
         return table
 
     return perturbed
+
+
+def _doubled_inner_entry(real, m, k):
+    """``real``, a table with a row per prefix, with entry [m][k] doubled wherever row m is not the last."""
+
+    def perturbed(*args):
+        table = real(*args)
+        if m < len(table) - 1 and k < len(table[m]):
+            table[m][k] = table[m][k] + table[m][k]
+        return table
+
+    return perturbed
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("last_box_table", "second-kind table == enumeration, 200 random vectors"),
+        ("first_kind_table", "first-kind table == enumeration, 200 random vectors (len <= 8)"),
+    ],
+)
+def test_inner_prefix_fault_fails_only_its_table_line(monkeypatch, name, line):
+    # entry [1][1] is w_1, read from the first box of every vector of length >= 2
+    fault = _doubled_inner_entry(getattr(suites, name), 1, 1)
+    failed = _failed_by(lambda: monkeypatch.setattr(suites, name, fault), suites.suite_konvalina_oracle)
+    assert failed == {line}
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 12])
+def test_families_suite_keeps_its_lines(rows):
+    result = suites.suite_families(rows)
+    assert [text for ok, text in result.lines if ok] == [
+        f"pascal == unit-weight enumeration == math.comb, n <= {rows}",
+        f"stirling2 == enumeration == integer recurrence, n <= {rows}",
+        f"stirling1 == enumeration == integer recurrence, n <= {rows}",
+        f"gauss == enumeration == factorial formula, n <= {rows}",
+        f"gauss at q=1 == pascal entrywise, n <= {rows}",
+        *(f"triad triangle == weighted mapping ({name}), n <= {rows}" for name in ("pascal", "stirling2", "gauss")),
+    ]
 
 
 def test_triangle_fault_fails_only_the_triangle_line(monkeypatch):
