@@ -12,13 +12,15 @@ Subcommands:
 
 All output is deterministic for a given flag set (randomized suites are
 seeded, default seed 7), so golden-file comparisons are safe.  Exit codes:
-0 success / all-pass, 1 identity failure, 2 usage or input error.
+0 success / all-pass, 1 identity failure, 2 usage or input error, 141
+(128 + SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -281,7 +283,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot raise
+        status = 141  # 128 + SIGPIPE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

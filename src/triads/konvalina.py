@@ -30,12 +30,12 @@ against each other:
     (per side of the split) against the weights for every rhs.
 
 The pass, the enumerator and the triangle recurrence are each one
-definition over a ring: they run over the weights' values with that
-ring's zero and one, and ``_ring(w, k, kind)`` chooses the ring from the
-weights, from k, the largest number of factors in any value that is read
-back or compared, and from the kind of those values.  It returns the
-values, the zero, the one and ``wrap``, the map from a ring value back to
-a canonical Scalar.  There are three rings:
+definition over a ring, as the triad recurrences are: the weights'
+values, each multiplying a cell from the right with ``*``, and ``wrap``,
+the read-back of a cell as a canonical Scalar; cells start from the ints
+0 and 1.  ``_ring(w, k, kind)`` chooses it from the weights, from k, the
+largest number of factors in any value read back or compared, and from
+the kind of those values.  There are three rings:
 
   * native ints and Fractions, when every weight is constant in q -- the
     common case, and all of the random vectors the suites draw
@@ -43,22 +43,20 @@ a canonical Scalar.  There are three rings:
     turns a Fraction with denominator 1 into an int;
   * packed ints, when every weight is a polynomial with int coefficients
     (q-powers, [n]_q) and the values fit a slot of at most 8 bytes: each
-    weight is evaluated once at q = 2^(8 * width), and ``wrap`` reads a
-    value's slots back.  The slot comes from the same pass run over the
-    l1 norms of the weights' coefficients (``scalar._packed_width``):
-    every coefficient of a value is at most the value the pass gives at
-    the norms, in magnitude, and the slot also holds the weights
-    themselves;
+    weight is a ``scalar._Packed`` factor, so a monomial weight costs a
+    shift, and ``wrap`` reads a value's slots back.  The slot comes from
+    the same pass run over the l1 norms of the weights' coefficients
+    (``scalar._packed_width``), which bounds every coefficient of a value,
+    and also holds the weights themselves;
   * the Scalars themselves, for any other vector, and for packed slots
-    past 8 bytes, where the big-int products lose to Scalar arithmetic;
+    past 8 bytes, where big-int arithmetic loses to Scalar arithmetic;
     ``wrap`` is ``as_scalar``.
 
-Native and packed arithmetic is several times faster than the same
-arithmetic through ``Scalar``.  Values, oracles, tables and the triangle
-wrap each output once; the identity checks compare both sides inside the
-ring and wrap nothing, which is exact in the packed ring too, because the
-bound covers every value compared and distinct polynomials within it
-evaluate to distinct ints.
+Native and packed arithmetic is several times faster than ``Scalar``'s.
+Values, oracles, tables and the triangle wrap each output once; the
+identity checks compare both sides inside the ring and wrap nothing,
+which is exact in the packed ring too: the bound covers every value
+compared, and distinct polynomials within it are distinct ints.
 
 ``second_kind_triangle_table`` is the (n, k)-indexed reshaping of the
 second kind (value S_{n-k}^k) computed through its own flipped recurrence
@@ -78,7 +76,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .scalar import ONE, Scalar, ZERO, _evaluate, _packed_scalar, _packed_width, as_scalar, qpow
+from .scalar import ONE, Scalar, ZERO, _packed_factors, _packed_scalar, _packed_width, as_scalar, qpow
 
 
 @dataclass(frozen=True)
@@ -151,14 +149,14 @@ def _enumerate(w: WeightVector, k: int, kind: str) -> tuple[list, Callable]:
         return [0] * (n + 1), as_scalar
     if k == 0:
         return [1] * (n + 1), as_scalar
-    values, zero, _, wrap = _ring(w, k, kind)
+    values, wrap = _ring(w, k, kind)
     if kind == "first":
         index_tuples, count = combinations, lambda m: math.comb(m, k)
     else:
         index_tuples, count = combinations_with_replacement, lambda m: math.comb(m + k - 1, k)
     products = map(math.prod, index_tuples(values[::-1], k))
-    runs = [sum(islice(products, count(m) - count(m - 1)), zero) for m in range(n, 0, -1)]
-    column = [zero]
+    runs = [sum(islice(products, count(m) - count(m - 1))) for m in range(n, 0, -1)]
+    column = [0]
     for run in reversed(runs):
         column.append(column[-1] + run)
     return column, wrap
@@ -185,30 +183,30 @@ def second_kind_oracle(w: WeightVector, k: int) -> Scalar:
 
 # -- the last-box recurrence -------------------------------------------------
 
-# The widest packed slot, in bytes.  Past it the Scalar ring is faster:
-# last_box_table(qpowers(n), n, "second") takes 0.09-0.13 s over Scalars
-# and 0.28 s packed at n = 40 (10-byte slots), and 0.53-0.59 s against
-# 2.4-2.6 s at n = 64 (Python 3.11, 2-vCPU Xeon).
+# The widest packed slot, in bytes.  Past it the Scalar ring is faster, with
+# monomial weights as shifts too: last_box_table(qpowers(n), n, "second")
+# takes 0.09-0.12 s over Scalars and 0.24-0.40 s packed at n = 40 (10-byte
+# slots), 0.65-0.73 s against 1.9-2.4 s at n = 64; family_table("gauss", 48)
+# 0.19-0.28 s against 0.54-0.87 s (Python 3.11, 2-vCPU Xeon).
 _MAX_SLOT = 8
 
 
-def _ring(w: WeightVector, k: int, kind: str = "second") -> tuple[Sequence, object, object, Callable]:
-    """The weights' values, the zero and one of their ring, and the map back to Scalars.
+def _ring(w: WeightVector, k: int, kind: str = "second") -> tuple[Sequence, Callable]:
+    """The weights' ring: their values, and the read-back of a cell as a Scalar.
 
-    ``k`` is the largest number of factors in any value that is read back or
-    compared, and ``kind`` the kind of those values; the second kind's
-    values bound the first kind's too.  Native ints and Fractions when every
-    weight is constant in q; packed ints when every weight is an int
-    polynomial and the slot the kind's pass to column k over the weights'
-    l1 norms needs is at most 8 bytes; else the Scalars themselves.
+    ``k`` is the most factors in any value read back or compared, and
+    ``kind`` their kind; the second kind bounds the first too.  Native ints
+    and Fractions for weights constant in q; packed factors for int
+    polynomials, when the kind's pass to column k over the weights' l1
+    norms needs a slot of at most 8 bytes; else the Scalars themselves.
     """
     values = w.constant_values()
     if values is not None:
-        return values, 0, 1, as_scalar
-    width = _packed_width([w.weights], lambda norms: max(_last_row(norms, k, kind, 0, 1)))
+        return values, as_scalar
+    width = _packed_width([w.weights], lambda norms: max(_last_row(norms, k, kind)))
     if width is not None and width <= _MAX_SLOT:
-        return [_evaluate(s.num.coeffs, width) for s in w.weights], 0, 1, lambda value: _packed_scalar(value, width)
-    return w.weights, ZERO, ONE, as_scalar
+        return _packed_factors([w.weights], width)[0], lambda value: _packed_scalar(value, width)
+    return w.weights, as_scalar
 
 
 def _check_kind(kind: str) -> None:
@@ -216,7 +214,7 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
 
 
-def _last_box_rows(values: Sequence, k: int, kind: str, zero, one) -> Iterator[list]:
+def _last_box_rows(values: Sequence, k: int, kind: str) -> Iterator[list]:
     """Values 0..k of the kind over the first 0, 1, .., n boxes, in one pass.
 
     Adding box i sets dp[j] = dp[j] + dp[j-1]*w_i for every column j.  The
@@ -228,7 +226,7 @@ def _last_box_rows(values: Sequence, k: int, kind: str, zero, one) -> Iterator[l
     index.  Every state is the same live list of ring values; a caller that
     keeps one copies it.
     """
-    dp = [one] + [zero] * k
+    dp = [1] + [0] * k
     first = kind == "first"
     yield dp
     for i, wi in enumerate(values, start=1):
@@ -237,9 +235,9 @@ def _last_box_rows(values: Sequence, k: int, kind: str, zero, one) -> Iterator[l
         yield dp
 
 
-def _last_row(values: Sequence, k: int, kind: str, zero, one) -> list:
+def _last_row(values: Sequence, k: int, kind: str) -> list:
     """The last state of the pass: values 0..k of the kind over all the values."""
-    for dp in _last_box_rows(values, k, kind, zero, one):
+    for dp in _last_box_rows(values, k, kind):
         pass
     return dp
 
@@ -248,16 +246,16 @@ def first_kind(w: WeightVector, k: int) -> Scalar:
     """e_k of the weights via the last-box recurrence."""
     if k < 0 or k > len(w):
         return ZERO
-    values, zero, one, wrap = _ring(w, k, "first")
-    return wrap(_last_row(values, k, "first", zero, one)[k])
+    values, wrap = _ring(w, k, "first")
+    return wrap(_last_row(values, k, "first")[k])
 
 
 def second_kind(w: WeightVector, k: int) -> Scalar:
     """h_k of the weights via the last-box recurrence."""
     if k < 0:
         return ZERO
-    values, zero, one, wrap = _ring(w, k)
-    return wrap(_last_row(values, k, "second", zero, one)[k])
+    values, wrap = _ring(w, k)
+    return wrap(_last_row(values, k, "second")[k])
 
 
 def first_kind_table(w: WeightVector, rows: int) -> list[list[Scalar]]:
@@ -266,8 +264,8 @@ def first_kind_table(w: WeightVector, rows: int) -> list[list[Scalar]]:
         raise ValueError("row count must be nonnegative")
     if rows > len(w):
         raise ValueError(f"table of {rows} rows needs {rows} weights, got {len(w)}")
-    values, zero, one, wrap = _ring(w.prefix(rows), rows, "first")
-    states = _last_box_rows(values, rows, "first", zero, one)
+    values, wrap = _ring(w.prefix(rows), rows, "first")
+    states = _last_box_rows(values, rows, "first")
     return [[wrap(v) for v in dp[: n + 1]] for n, dp in enumerate(states)]
 
 
@@ -279,8 +277,8 @@ def last_box_table(w: WeightVector, k_max: int, kind: str) -> list[list[Scalar]]
     _check_kind(kind)
     if k_max < 0:
         raise ValueError("table sizes must be nonnegative")
-    values, zero, one, wrap = _ring(w, k_max, kind)
-    return [[wrap(v) for v in dp] for dp in _last_box_rows(values, k_max, kind, zero, one)]
+    values, wrap = _ring(w, k_max, kind)
+    return [[wrap(v) for v in dp] for dp in _last_box_rows(values, k_max, kind)]
 
 
 def last_box_row(w: WeightVector, k_max: int, kind: str) -> list[Scalar]:
@@ -288,8 +286,8 @@ def last_box_row(w: WeightVector, k_max: int, kind: str) -> list[Scalar]:
     _check_kind(kind)
     if k_max < 0:
         raise ValueError("table sizes must be nonnegative")
-    values, zero, one, wrap = _ring(w, k_max, kind)
-    return [wrap(v) for v in _last_row(values, k_max, kind, zero, one)]
+    values, wrap = _ring(w, k_max, kind)
+    return [wrap(v) for v in _last_row(values, k_max, kind)]
 
 
 def second_kind_triangle_table(w: WeightVector, n_max: int) -> list[list[Scalar]]:
@@ -304,11 +302,11 @@ def second_kind_triangle_table(w: WeightVector, n_max: int) -> list[list[Scalar]
     """
     if n_max < 0:
         raise ValueError("table sizes must be nonnegative")
-    values, zero, one, wrap = _ring(w, n_max)
-    row = [one] + [zero] * len(w)
+    values, wrap = _ring(w, n_max)
+    row = [1] + [0] * len(w)
     rows = [row]
     for _ in range(n_max):
-        row = [zero] + [row[j] * wj + row[j - 1] for j, wj in enumerate(values, start=1)]
+        row = [0] + [row[j] * wj + row[j - 1] for j, wj in enumerate(values, start=1)]
         rows.append(row)
     return [[wrap(v) for v in row] for row in rows]
 
@@ -329,13 +327,13 @@ def last_box_identity(w: WeightVector, k: int, kind: str = "first") -> bool:
     _check_kind(kind)
     if k < 0:
         return True
-    values, zero, one, _ = _ring(w, k, kind)
-    lhs = _last_row(values, k, kind, zero, one)
-    states = _last_box_rows(values, k - 1, kind, zero, one)
+    values, _ = _ring(w, k, kind)
+    lhs = _last_row(values, k, kind)
+    states = _last_box_rows(values, k - 1, kind)
     if kind == "second":
         next(states)
     # rhs[j] is the rhs at k' = j + 1
-    rhs = [zero] * k
+    rhs = [0] * k
     for wi, dp in zip(values, states):
         for j in range(k):
             rhs[j] = rhs[j] + dp[j] * wi
@@ -353,17 +351,13 @@ def split_identity(w: WeightVector, split: int, k: int) -> bool:
         raise ValueError(f"split {split} outside 0..{len(w)}")
     if k < 0:
         return True
-    values, zero, one, _ = _ring(w, k)
+    values, _ = _ring(w, k)
     for kind in ("first", "second"):
-        lhs = _last_row(values, k, kind, zero, one)
-        left = _last_row(values[:split], k, kind, zero, one)
-        right = _last_row(values[split:], k, kind, zero, one)
+        lhs = _last_row(values, k, kind)
+        left = _last_row(values[:split], k, kind)
+        right = _last_row(values[split:], k, kind)
         for j in range(k + 1):
-            rhs = zero
-            for i in range(j + 1):
-                if left[i]:
-                    rhs = rhs + left[i] * right[j - i]
-            if lhs[j] != rhs:
+            if lhs[j] != sum(left[i] * right[j - i] for i in range(j + 1) if left[i]):
                 return False
     return True
 

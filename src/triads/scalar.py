@@ -39,21 +39,19 @@ coefficients.  All three give the same canonical tuple.
 :func:`matrix_product` multiplies two matrices of Scalars by folding
 Scalar products entry by entry; the triad connection check reaches it
 only for a spec off its packed path or for a row that fails there.
-The signed-slot packing also serves code that runs its own sums and
-products of ints over polynomials with int coefficients, with one rule
-for the slot: :func:`_packed_width` runs the same computation over the
-l1 norms of the values' coefficients, and the slot holds what that gives.
-``konvalina``'s weighted-coefficient passes, enumerations and triangle
-evaluate each weight at q = 2^(8w) with :func:`_evaluate`.
-:func:`_packed_factors` hands the packing to the triad recurrences, with
-each value q^e * p as the pair (p packed, shift), so that a product by a
-monomial c*q^e is a product by c and a shift; it packs at q = +2^(8w) or
-at q = -2^(8w), where the coefficient of q^m takes the sign (-1)^m, and
-:func:`_packed_terms` gives those pairs at the slot of
-:func:`_packed_width`.  Every slot is exactly as many bytes as its bound
-needs: 1, 2, 4 and 8 bytes are array items, 3, 5, 6 and 7 bytes are
-copied out of 8-byte items with strided slices, and wider slots pack each
-coefficient with ``int.to_bytes``.
+The signed-slot packing also serves the recurrences of ``triad`` and
+``konvalina``, each run over a ring: values that multiply a cell from the
+right with ``*``, and a read-back of a cell as a canonical Scalar, with
+the ints 0 and 1 as every ring's zero and one.  A packed value q^e * p is
+a :class:`_Packed` factor, p at q = +2^(8w) or at q = -2^(8w) (where the
+coefficient of q^m takes the sign (-1)^m) and the shift 8we, so a
+monomial c*q^e costs a product by c and a shift.  :func:`_packed_width`
+sizes the slot from the same computation run over the l1 norms of the
+values' coefficients; :func:`_packed_terms` is the packed ring at that
+slot.  Every slot is exactly as many bytes as its bound needs: 1, 2, 4
+and 8 bytes are array items, 3, 5, 6 and 7 bytes are copied out of
+8-byte items with strided slices, and wider slots pack each coefficient
+with ``int.to_bytes``.
 
 Printing: integers print bare ("5"), polynomials as canonical
 ascending-power strings ("1 + q - 2*q^3"), quotients as "num / den" with
@@ -644,15 +642,26 @@ def _l1_norms(sequences: Sequence[Sequence[Scalar]]) -> list[list[int]] | None:
     return [[sum(map(abs, s.num.coeffs)) for s in seq] for seq in sequences]
 
 
-def _packed_factors(sequences: Sequence[Sequence[Scalar]], width: int, sign: int = 1) -> list[list[tuple[int, int]]]:
-    """Each int q-polynomial of each sequence as a packed factor at q = sign * 2^(8 * width).
+class _Packed:
+    """A packed factor q^e * p: ``p`` at q = +-2^(8w) and ``shift`` = 8we; ``value * factor`` is value * p << shift."""
 
-    A scalar q^e * p, with p's constant coefficient nonzero, becomes the
-    pair (p evaluated at q = 2^(8 * width), 8 * width * e), so the packed
-    image of a monomial c*q^e is (c, 8 * width * e).  At q = -2^(8 * width)
-    each coefficient of q^m takes the sign (-1)^m first, which turns the
-    pair into ((-1)^e * p(-2^(8 * width)), 8 * width * e).  Every
-    coefficient must fit the slot.
+    __slots__ = ("p", "shift")
+
+    def __init__(self, p: int, shift: int):
+        self.p, self.shift = p, shift
+
+    def __rmul__(self, value: int) -> int:
+        return value * self.p << self.shift
+
+
+def _packed_factors(sequences: Sequence[Sequence[Scalar]], width: int, sign: int = 1) -> list[list[_Packed]]:
+    """Each int q-polynomial of each sequence as a :class:`_Packed` factor at q = sign * 2^(8 * width).
+
+    A scalar q^e * p, with p's constant coefficient nonzero, becomes
+    ``_Packed(p(2^(8 * width)), 8 * width * e)``, and a monomial c*q^e
+    ``_Packed(c, 8 * width * e)``.  At q = -2^(8 * width) each coefficient
+    of q^m takes the sign (-1)^m first, which makes the factor's p
+    (-1)^e * p(-2^(8 * width)).  Every coefficient must fit the slot.
     """
     shift = 8 * width
     factors = []
@@ -663,14 +672,9 @@ def _packed_factors(sequences: Sequence[Sequence[Scalar]], width: int, sign: int
             if sign < 0:
                 cs = tuple(-c if m & 1 else c for m, c in enumerate(cs))
             e = next((i for i, c in enumerate(cs) if c), 0)
-            row.append((_evaluate(cs[e:], width), shift * e))
+            row.append(_Packed(_evaluate(cs[e:], width), shift * e))
         factors.append(row)
     return factors
-
-
-def _packed_times(pair: tuple[int, int], value: int) -> int:
-    """The packed image of a packed factor times a packed value: for a monomial, a product by c and a shift."""
-    return value * pair[0] << pair[1]
 
 
 def _packed_width(sequences: Sequence[Sequence[Scalar]], bound: Callable[..., int]) -> int | None:
@@ -691,13 +695,12 @@ def _packed_width(sequences: Sequence[Sequence[Scalar]], bound: Callable[..., in
 
 def _packed_terms(
     sequences: Sequence[Sequence[Scalar]], bound: Callable[..., int]
-) -> tuple[list[list[tuple[int, int]]], Callable[[int], Scalar]] | None:
-    """The scalars of each sequence as packed factors, for a recurrence that multiplies by them.
+) -> tuple[list[list[_Packed]], Callable[[int], Scalar]] | None:
+    """The packed ring of a recurrence that multiplies by the scalars of each sequence.
 
-    Each scalar is a pair of :func:`_packed_factors` at q = 2^(8 * width),
-    for :func:`_packed_times`, with the slot of :func:`_packed_width`; also
-    returned is the map that reads a packed value back as a canonical
-    Scalar.  None unless every scalar is a polynomial with int coefficients.
+    The scalars as :func:`_packed_factors` at the slot of :func:`_packed_width`,
+    and the read-back of a packed value as a canonical Scalar; None unless
+    every scalar is a polynomial with int coefficients.
     """
     width = _packed_width(sequences, bound)
     if width is None:

@@ -18,18 +18,19 @@ Each recurrence is one definition over a ring, ``_triangle`` and
 ``_dual_rows``.  Each reads every sequence value it needs once, in the
 order it first needs it, and multiplies by what it read: the triangle by
 i, q and d, the dual recurrence, phi_{k+1} = (1/i(k))*(x*phi_k
-- q(k)*phi_k - d(k)*phi_{k-1}), by 1/i(k), -q(k) and -d(k).  It runs on
-packed native ints when every value it multiplies by is a polynomial in q
-with int coefficients, and on Scalars otherwise; for the dual recurrence
-that asks 1/i(k) to be an int polynomial, so i(k) = +-1 is one case of
-i(k) = +-1/c.  ``scalar._packed_factors`` evaluates each value once at
-q = 2^(8w): a monomial c*q^e becomes a product by c and a shift by 8we.
-The slot width w comes from the same recurrence run over the l1 norms
-|.|_1 of the values' coefficients,
+- q(k)*phi_k - d(k)*phi_{k-1}), by 1/i(k), -q(k) and -d(k).  A ring is
+those values, each multiplying a cell from the right with ``*``, and a
+read-back of a cell as a canonical Scalar; cells start from the ints 0
+and 1.  The ring is packed, ``scalar._packed_terms``, when every value is
+a polynomial in q with int coefficients (for the duals, i(k) = +-1/c):
+each value is a ``scalar._Packed`` factor at q = 2^(8w), so a monomial
+c*q^e costs a product by c and a shift.  Otherwise it is the Scalars,
+read back with ``as_scalar``.  The slot width w comes from the same
+recurrence run over the l1 norms |.|_1 of the values' coefficients,
     |c[n+1][k]|_1 <= |i(k-1)|_1*|c[n][k-1]|_1 + |q(k)|_1*|c[n][k]|_1 + |d(k+1)|_1*|c[n][k+1]|_1,
 and the same rule for the coefficients of phi_{k+1}; the slot also holds
-the values themselves.  Each cell or coefficient is read back once as a
-canonical Scalar, equal to what the recurrence over Scalars gives.
+the values themselves.  Each cell is read back once, equal to what the
+recurrence over Scalars gives.
 
 When both recurrences run packed (every i(k) is +-1, the units of Z[q]),
 the connection check reads nothing back.  B bounds every coefficient of
@@ -64,7 +65,6 @@ from .scalar import (
     _l1_norms,
     _packed_factors,
     _packed_terms,
-    _packed_times,
     _slot_width,
     as_scalar,
     matrix_product,
@@ -145,11 +145,8 @@ def coefficient_table(spec: TriadSpec, rows: int) -> TriadTable:
 
 def _table_from(values: tuple[list, list, list], rows: int) -> list[list[Scalar]]:
     """The triangle's rows of Scalars over the values :func:`_triangle_values` read."""
-    packed = _packed_terms(values, lambda *norms: max(map(max, _triangle(*norms, rows, 0, 1, mul))))
-    if packed is None:
-        return _triangle(*values, rows, ZERO, ONE, mul)
-    terms, read = packed
-    return [list(map(read, row)) for row in _triangle(*terms, rows, 0, 1, _packed_times)]
+    terms, read = _packed_terms(values, lambda *norms: max(map(max, _triangle(*norms, rows)))) or (values, as_scalar)
+    return [list(map(read, row)) for row in _triangle(*terms, rows)]
 
 
 def _triangle_values(spec: TriadSpec, rows: int) -> tuple[list, list, list]:
@@ -169,25 +166,24 @@ def _triangle_values(spec: TriadSpec, rows: int) -> tuple[list, list, list]:
     return i_vals, q_vals, d_vals
 
 
-def _triangle(i: Sequence, q: Sequence, d: Sequence, rows: int, zero, one, times: Callable) -> list[list]:
-    """c[n+1][k] = i(k-1)*c[n][k-1] + q(k)*c[n][k] + d(k+1)*c[n][k+1] over a ring.
+def _triangle(i: Sequence, q: Sequence, d: Sequence, rows: int) -> list[list]:
+    """c[n+1][k] = c[n][k-1]*i(k-1) + c[n][k]*q(k) + c[n][k+1]*d(k+1) over a ring.
 
-    ``times(a, c)`` is the sequence value a times the cell c.  Over the l1
-    norms of the values, with ``mul``, each cell is a bound on the l1 norm
-    of the coefficients of the cell it stands for.
+    Over the l1 norms of the values, each cell bounds the l1 norm of the
+    coefficients of the cell it stands for.
     """
-    table = [[one]]
+    table = [[1]]
     for n in range(rows):
         prev = table[n]
         row = []
         for k in range(n + 2):
-            value = zero
+            value = 0
             if k >= 1:
-                value = value + times(i[k - 1], prev[k - 1])
+                value = value + prev[k - 1] * i[k - 1]
             if k <= n:
-                value = value + times(q[k], prev[k])
+                value = value + prev[k] * q[k]
             if k + 1 <= n:
-                value = value + times(d[k + 1], prev[k + 1])
+                value = value + prev[k + 1] * d[k + 1]
             row.append(value)
         table.append(row)
     return table
@@ -200,11 +196,8 @@ def dual_polynomials(spec: TriadSpec, count: int) -> list[Poly]:
 
 def _duals_from(values: tuple[list, list, list], count: int) -> list[Poly]:
     """phi_0 .. phi_count over the values 1/i, -q and -d that :func:`_dual_values` read."""
-    packed = _packed_terms(values, lambda *norms: max(map(max, _dual_rows(*norms, count, 0, 1, mul))))
-    if packed is None:
-        return [Poly._raw(tuple(phi)) for phi in _dual_rows(*values, count, ZERO, ONE, mul)]
-    terms, read = packed
-    return [Poly._raw(tuple(map(read, phi))) for phi in _dual_rows(*terms, count, 0, 1, _packed_times)]
+    terms, read = _packed_terms(values, lambda *norms: max(map(max, _dual_rows(*norms, count)))) or (values, as_scalar)
+    return [Poly._raw(tuple(map(read, phi))) for phi in _dual_rows(*terms, count)]
 
 
 def _dual_values(spec: TriadSpec, count: int) -> tuple[list, list, list]:
@@ -229,23 +222,22 @@ def _dual_values(spec: TriadSpec, count: int) -> tuple[list, list, list]:
     return i_vals, q_vals, d_vals
 
 
-def _dual_rows(r: Sequence, q: Sequence, d: Sequence, count: int, zero, one, times: Callable) -> list[list]:
-    """phi_{k+1} = r(k)*(x*phi_k + q(k)*phi_k + d(k)*phi_{k-1}) over a ring, as x-coefficient lists.
+def _dual_rows(r: Sequence, q: Sequence, d: Sequence, count: int) -> list[list]:
+    """phi_{k+1} = (x*phi_k + phi_k*q(k) + phi_{k-1}*d(k))*r(k) over a ring, as x-coefficient lists.
 
-    Called with r = 1/i, -q and -d, this is the dual recurrence.  Over
-    the l1 norms of the values, with ``mul``, each entry is a bound on the
-    l1 norm of the coefficients of the entry it stands for.
+    With r = 1/i, -q and -d, the dual recurrence.  Over the values' l1 norms,
+    each entry bounds the l1 norm of the coefficients of the entry it stands for.
     """
-    phis = [[one]]
+    phis = [[1]]
     for k in range(count):
         current = phis[k]
-        top = [zero, *current]
+        top = [0, *current]
         for j, c in enumerate(current):
-            top[j] += times(q[k], c)
+            top[j] += c * q[k]
         if k >= 1:
             for j, c in enumerate(phis[k - 1]):
-                top[j] += times(d[k], c)
-        phis.append([times(r[k], c) for c in top])
+                top[j] += c * d[k]
+        phis.append([c * r[k] for c in top])
     return phis
 
 
@@ -331,8 +323,8 @@ def _connection_at_two_points(values: tuple, dual_values: tuple, rows: int) -> b
     value_bound = max(max(seq, default=0) for seq in norms)
     half = max(-(-_slot_width(_connection_bound(norms, rows)) // 2), _slot_width(value_bound))
     for sign in (1, -1):
-        table = _triangle(*_packed_factors(values, half, sign), rows, 0, 1, _packed_times)
-        phis = _dual_rows(*_packed_factors(dual_values, half, sign), rows, 0, 1, _packed_times)
+        table = _triangle(*_packed_factors(values, half, sign), rows)
+        phis = _dual_rows(*_packed_factors(dual_values, half, sign), rows)
         if not _is_inverse_pair(table, phis):
             return False
     return True
@@ -344,8 +336,8 @@ def _connection_bound(norms: list[list[int]], rows: int) -> int:
     The largest of the norms, of the two recurrences run over them, and of
     every sum_k |c[n][k]|_1 * |Phi[k][j]|_1 over the bounds they give.
     """
-    table_bounds = _triangle(*norms[:3], rows, 0, 1, mul)
-    phi_bounds = _dual_rows(*norms[3:], rows, 0, 1, mul)
+    table_bounds = _triangle(*norms[:3], rows)
+    phi_bounds = _dual_rows(*norms[3:], rows)
     return max(
         *(max(seq, default=0) for seq in norms),
         *map(max, table_bounds),

@@ -2,8 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
-from operator import mul
 from pathlib import Path
 
 import pytest
@@ -144,23 +145,42 @@ def test_verify_suite_triad_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_module_entry_point():
-    import os
-    import subprocess
+def _child_env() -> dict:
+    """The environment for a child ``python -m triads``, with the package's own src on its path.
 
+    The child does not inherit pytest's pythonpath.
+    """
     import triads
 
-    # the child does not inherit pytest's pythonpath: hand it the package's own src
     src = str(Path(triads.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "triads", "table", "--family", "pascal", "--rows", "2", "--format", "csv"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1", "1,1", "1,2,1"]
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # the table is about 1.4 MB of JSON, far past a pipe's buffer, so the
+    # child is still writing when the reader closes the pipe after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "triads", "table", "--family", "gauss", "--rows", "40", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_verify_genfun_psi_filter(capsys):
@@ -315,6 +335,15 @@ def test_konvalina_table_json_matches_golden(capsys, kind):
         (
             ("table", "--spec", str(GOLDEN / "spec_reciprocal_i.json"), "--rows", "12", "--format", "json"),
             "table_spec_reciprocal_i_rows12.json",
+        ),
+        # int q-polynomial weights that are not monomials, some with a shift
+        # q^e: the packed ring's factors p and shifts both at work
+        *(
+            (
+                ("konvalina", "--weights", "q^2+2*q^3,1,q-q^4,3*q^5,-q^3", "--kind", kind, "--table", "--format", "json"),
+                f"konvalina_shifted5_{kind}.json",
+            )
+            for kind in ("first", "second")
         ),
     ],
 )
@@ -578,13 +607,13 @@ def test_verify_genfun_order_at_minimum_passes(capsys):
 def test_verify_spec_failure_names_row_and_residual(capsys, monkeypatch):
     # adding 1 to c[3][1] of pascal adds phi_1 = x - 1 to row 3 only; the
     # packed check and the Scalar route both build the triangle with
-    # _triangle, so both see it, while the l1 bound (ints under mul) does not
+    # _triangle, so both see it, while the l1 bound (over int values) does not
     correct = triad._triangle
 
-    def perturbed(i, q, d, rows, zero, one, times):
-        table = correct(i, q, d, rows, zero, one, times)
-        if not (times is mul and type(one) is int):
-            table[3][1] = table[3][1] + one
+    def perturbed(i, q, d, rows):
+        table = correct(i, q, d, rows)
+        if type(d[0]) is not int:
+            table[3][1] = table[3][1] + 1
         return table
 
     monkeypatch.setattr(triad, "_triangle", perturbed)

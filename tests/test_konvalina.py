@@ -31,7 +31,7 @@ from triads.konvalina import (
     second_kind_triangle_table,
     split_identity,
 )
-from triads.scalar import ONE, Q, ZERO, _evaluate, as_scalar, parse_scalar, qpow
+from triads.scalar import ONE, Q, Scalar, ZERO, _evaluate, as_scalar, parse_scalar, qpow
 from triads.suites import suite_corollary
 
 from .oracles import newton_complete, newton_elementary, q_binomial_by_factorials
@@ -172,9 +172,9 @@ weight_values = st.one_of(
 @given(st.lists(weight_values, max_size=5), st.integers(0, 7))
 def test_recurrence_rows_match_enumeration(values, k):
     w = WeightVector.of(values)
-    values, zero, one, wrap = _ring(w, k)
+    values, wrap = _ring(w, k)
     for kind, oracle in (("first", first_kind_oracle), ("second", second_kind_oracle)):
-        row = _last_row(values, k, kind, zero, one)
+        row = _last_row(values, k, kind)
         assert [wrap(v) for v in row] == [oracle(w, j) for j in range(k + 1)]
     n = len(w)
     first_rows, second_rows = first_kind_table(w, n), last_box_table(w, k, "second")
@@ -263,8 +263,8 @@ def test_oracle_column_refuses_an_unknown_kind():
         oracle_column(ones(2), 1, "third")
 
 
-def _states(values, k, kind, zero, one):
-    return [dp[:] for dp in _last_box_rows(values, k, kind, zero, one)]
+def _states(values, k, kind):
+    return [dp[:] for dp in _last_box_rows(values, k, kind)]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -275,13 +275,15 @@ def test_native_ring_matches_scalar_ring_on_constant_vectors(seed):
         w = WeightVector.of(
             [rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-6, 6), rng.randint(1, 4))]) for _ in range(length)]
         )
-        values, zero, one, wrap = _ring(w, length + 1)
-        assert (zero, one, wrap) == (0, 1, as_scalar) and values == w.constant_values()
+        values, wrap = _ring(w, length + 1)
+        assert wrap is as_scalar and values == w.constant_values()
         for k in range(length + 2):
             for kind in ("first", "second"):
-                native = _states(values, k, kind, zero, one)
-                over_scalars = _states(list(w.weights), k, kind, ZERO, ONE)
-                assert [[as_scalar(v) for v in dp] for dp in native] == over_scalars
+                native = _states(values, k, kind)
+                over_scalars = _states(list(w.weights), k, kind)
+                assert [[as_scalar(v) for v in dp] for dp in native] == [
+                    [as_scalar(v) for v in dp] for dp in over_scalars
+                ]
 
 
 def test_integral_results_come_back_as_int_coefficients():
@@ -299,7 +301,7 @@ def test_integral_results_come_back_as_int_coefficients():
 
 def test_mixed_constant_and_symbolic_vector_matches_oracles():
     w = WeightVector.of([Fraction(1, 2), Q, 3, ONE + Q, Fraction(-2, 3)])
-    assert _ring(w, len(w) + 1)[1:] == (ZERO, ONE, as_scalar)
+    assert _ring(w, len(w) + 1) == (w.weights, as_scalar)
     for k in range(len(w) + 2):
         assert first_kind(w, k) == first_kind_oracle(w, k)
         assert second_kind(w, k) == second_kind_oracle(w, k)
@@ -320,11 +322,11 @@ def test_identities_fail_on_a_perturbed_row(monkeypatch, w):
     n, k = len(w), 2
     real = konvalina._last_box_rows
 
-    def perturbed(values, cols, kind, zero, one):
-        for i, dp in enumerate(real(values, cols, kind, zero, one)):
+    def perturbed(values, cols, kind):
+        for i, dp in enumerate(real(values, cols, kind)):
             if (i, len(values), cols) == (n, n, k):
                 dp = dp[:]
-                dp[k] = dp[k] + one
+                dp[k] = dp[k] + 1
             yield dp
 
     assert last_box_identity(w, k, "first") and last_box_identity(w, k, "second") and split_identity(w, 2, k)
@@ -338,11 +340,11 @@ def _perturb_last_state(monkeypatch, n, column):
     """Add one at ``column`` of the last state of every pass over all n weights."""
     real = konvalina._last_box_rows
 
-    def perturbed(values, cols, kind, zero, one):
-        for i, dp in enumerate(real(values, cols, kind, zero, one)):
+    def perturbed(values, cols, kind):
+        for i, dp in enumerate(real(values, cols, kind)):
             if (i, len(values)) == (n, n) and column <= cols:
                 dp = dp[:]
-                dp[column] = dp[column] + one
+                dp[column] = dp[column] + 1
             yield dp
 
     monkeypatch.setattr(konvalina, "_last_box_rows", perturbed)
@@ -452,15 +454,16 @@ def test_weight_vector_access():
 
 def _forced_onto_scalars(monkeypatch):
     """Run every pass, enumeration and triangle of ``konvalina`` over the Scalars themselves."""
-    monkeypatch.setattr(konvalina, "_ring", lambda w, k, kind="second": (w.weights, ZERO, ONE, as_scalar))
+    monkeypatch.setattr(konvalina, "_ring", lambda w, k, kind="second": (w.weights, as_scalar))
 
 
 def _slot_bytes(w, k, kind="second"):
     """Bytes per slot of the packed ring that ``_ring(w, k, kind)`` picks, or None off it; w has a weight in q."""
-    values, zero, _, _ = _ring(w, k, kind)
-    if zero is ZERO:
+    values, _ = _ring(w, k, kind)
+    if values is w.weights:
         return None
-    value, cs = next((v, s.num.coeffs) for v, s in zip(values, w.weights) if not s.is_rational())
+    # 1 * factor is the packed value of the weight itself
+    value, cs = next((1 * v, s.num.coeffs) for v, s in zip(values, w.weights) if not s.is_rational())
     fits = [width for width in range(1, 9) if max(map(abs, cs)) < 2 ** (8 * width - 1)]
     return next(width for width in fits if _evaluate(cs, width) == value)
 
@@ -621,10 +624,66 @@ def _with_edge_cases(test):
 @given(st.lists(int_polynomials, max_size=6), st.integers(0, 7))
 @_with_edge_cases
 def test_packed_ring_matches_the_scalar_ring(weights, k):
-    # the same computation forced onto (w.weights, ZERO, ONE), value for
+    # the same computation forced onto (w.weights, as_scalar), value for
     # value and coefficient type for coefficient type
     w = WeightVector(tuple(weights))
     ringed = _everything(w, k)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _forced_onto_scalars(monkeypatch)
         assert _typed(ringed) == _typed(_everything(w, k))
+
+
+def _cells(value):
+    """The leaves of a value, a table or a list of them, flattened."""
+    if isinstance(value, list):
+        return [cell for v in value for cell in _cells(v)]
+    return [value]
+
+
+@pytest.mark.parametrize(
+    "weights, ring",
+    [
+        ([2, Fraction(-1, 2), 3], "constant"),
+        ([Q, 1 + Q, as_scalar(-2)], "packed"),
+        ([(1 + Q) / (Q - 2), as_scalar(2), Q], "scalar"),
+    ],
+)
+def test_every_cell_is_a_scalar_on_every_ring(weights, ring):
+    # each ring starts its cells from the ints 0 and 1, and the read-back
+    # turns every cell into a Scalar: the zeros above the diagonal of the
+    # first kind and of the triangle, and the ones of row 0, included
+    w = WeightVector.of(weights)
+    values, _ = _ring(w, len(w) + 1)
+    taken = "constant" if values == w.constant_values() else "scalar" if values is w.weights else "packed"
+    assert taken == ring
+    k = len(w) + 1
+    out = _everything(w, k)
+    identities = out[-(2 + len(w) + 1):]
+    assert identities == [True] * len(identities)
+    cells = _cells(out[: -len(identities)])
+    assert {type(c) for c in cells} == {Scalar}
+    assert ZERO in cells and ONE in cells
+
+
+def test_monomial_weights_pack_as_shifts():
+    # q^e packs as the factor p = 1 and a shift by 8we bits: no product
+    values, _ = _ring(qpowers(5), 5)
+    width = _slot_bytes(qpowers(5), 5)
+    assert [(v.p, v.shift) for v in values] == [(1, 8 * width * e) for e in range(5)]
+
+
+# weights with both a shift q^e and a factor p past a monomial
+_SHIFTED = [Q**3 * (1 + 2 * Q), -(Q**2) + Q**5, 3 * Q - Q**4, as_scalar(-2), Q**2 * (Q - 1)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_shifted_factors_match_the_scalar_ring(monkeypatch, k):
+    w = WeightVector.of(_SHIFTED)
+    width = _slot_bytes(w, k)
+    assert width is not None
+    values, _ = _ring(w, k)
+    assert [v.shift for v in values] == [8 * width * e for e in (3, 2, 1, 0, 2)]
+    assert all(abs(v.p) > 2 for v in values if v.shift)
+    packed = _everything(w, k)
+    _forced_onto_scalars(monkeypatch)
+    assert _typed(packed) == _typed(_everything(w, k))

@@ -3,7 +3,6 @@
 import json
 from collections import Counter
 from fractions import Fraction
-from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,16 +380,17 @@ def _two_point_results(monkeypatch):
 
 
 def _perturb_cell(monkeypatch, n, k, amount=lambda one: one):
-    """Add ``amount(one)`` to cell [n][k] of every triangle over a value ring.
+    """Add ``amount(1)`` to cell [n][k] of every triangle over a value ring.
 
-    The l1 bound's triangle, the only one over ints with ``mul``, stays.
+    The l1 bound's triangle, the only one whose values are ints (d(0)'s
+    stand-in among them), stays.
     """
     real = triad._triangle
 
-    def perturbed(i, q, d, rows, zero, one, times):
-        table = real(i, q, d, rows, zero, one, times)
-        if not (times is mul and type(one) is int):
-            table[n][k] = table[n][k] + amount(one)
+    def perturbed(i, q, d, rows):
+        table = real(i, q, d, rows)
+        if type(d[0]) is not int:
+            table[n][k] = table[n][k] + amount(1)
         return table
 
     monkeypatch.setattr(triad, "_triangle", perturbed)
@@ -532,3 +532,26 @@ def test_half_widths_on_both_sides_of_eight_bytes(monkeypatch, spec, rows, half)
     lines, checks = _connection_both_ways(spec, rows, (rows, 0))
     assert (lines, checks) == ([(False, f"n={rows}: residual 1")], [False])
     assert points == [(half, 1), (half, 1)]
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize(
+    "spec, packed",
+    [
+        (gauss_spec(), [False, False]),
+        (TriadSpec.of([1, -1, 1, -1], [Q, 2 - Q, 0, Q**3], [0, 2 * Q, -1, Q]), [False, False]),
+        (TriadSpec.of([2, 1, 3, 1], [Q / (1 + Q), 1, Q, 2], 1), [True, True]),
+    ],
+)
+def test_every_cell_is_a_scalar_on_both_routes(monkeypatch, spec, packed, forced):
+    # the recurrences start from the ints 0 and 1, so c[0][0] and phi_0 are
+    # ints until the read-back; every cell and coefficient comes back a Scalar
+    results = _spy_packed(monkeypatch)
+    if forced:
+        _forced_onto_scalars(monkeypatch)
+    table, phis = coefficient_table(spec, 4), dual_polynomials(spec, 4)
+    if not forced:
+        assert [result is None for result in results] == packed
+    assert table.rows[0] == (ONE,) and phis[0].coeffs == (ONE,)
+    assert {type(c) for row in table.rows for c in row} == {Scalar}
+    assert {type(c) for phi in phis for c in phi.coeffs} == {Scalar}
