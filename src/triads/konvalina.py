@@ -29,25 +29,26 @@ against each other:
     at every k' from one pass per kind, and sum the states of one more pass
     (per side of the split) against the weights for every rhs.
 
-The pass, the enumerator and the triangle recurrence are each one
-definition over a ring, as the triad recurrences are: the weights'
-values, each multiplying a cell from the right with ``*``, and ``wrap``,
-the read-back of a cell as a canonical Scalar; cells start from the ints
-0 and 1.  ``_ring(w, k, kind)`` chooses it from the weights, from k, the
-largest number of factors in any value read back or compared, and from
-the kind of those values.  There are three rings:
+The pass and the enumerator are each one definition over a ring, and
+the triangle is the triad's recurrence ``triad._triangle`` over the same
+ring: the weights' values, each multiplying a cell from the right with
+``*``, and ``wrap``, the read-back of a cell as a canonical Scalar; cells
+start from the ints 0 and 1.  ``_ring(w, k, kind)`` asks
+``scalar._ring_for``, the one chooser of the triad recurrences too, from
+the weights and from a bound: the kind's pass to column k, the largest
+number of factors in any value read back or compared, over the l1 norms
+of the weights' coefficients.  There are three rings:
 
   * native ints and Fractions, when every weight is constant in q -- the
-    common case, and all of the random vectors the suites draw
-    (``WeightVector.constant_values``); ``wrap`` is ``as_scalar``, which
-    turns a Fraction with denominator 1 into an int;
+    common case, and all of the random vectors the suites draw; ``wrap``
+    is ``as_scalar``, which turns a Fraction with denominator 1 into an
+    int;
   * packed ints, when every weight is a polynomial with int coefficients
     (q-powers, [n]_q) and the values fit a slot of at most 8 bytes: each
     weight is a ``scalar._Packed`` factor, so a monomial weight costs a
-    shift, and ``wrap`` reads a value's slots back.  The slot comes from
-    the same pass run over the l1 norms of the weights' coefficients
-    (``scalar._packed_width``), which bounds every coefficient of a value,
-    and also holds the weights themselves;
+    shift, and ``wrap`` reads a value's slots back.  The bound covers
+    every coefficient of a value, and the slot also holds the weights
+    themselves;
   * the Scalars themselves, for any other vector, and for packed slots
     past 8 bytes, where big-int arithmetic loses to Scalar arithmetic;
     ``wrap`` is ``as_scalar``.
@@ -59,24 +60,25 @@ which is exact in the packed ring too: the bound covers every value
 compared, and distinct polynomials within it are distinct ints.
 
 ``second_kind_triangle_table`` is the (n, k)-indexed reshaping of the
-second kind (value S_{n-k}^k) computed through its own flipped recurrence
-over the same ring, the shape Stirling triangles satisfy, in one run over
-the whole vector.  The binomial and Gaussian arrays are these
-coefficients over unit and q-power weights; the pascal and gauss family
-tables read them from one pass each.  The summation identities derived
-from the last-box decomposition are checked by ``suites.suite_corollary``.
+second kind (value S_{n-k}^k): the triad triangle with i = 1,
+q = (0, w_1, .., w_n) and d = 0 (Konvalina's unified reading of the
+binomial, Stirling and Gaussian coefficients), run by ``triad._triangle``
+in one run over the whole vector.  The binomial and Gaussian arrays are
+these coefficients over unit and q-power weights; the pascal and gauss
+family tables read them from one pass each.  The summation identities
+derived from the last-box decomposition are checked by
+``suites.suite_corollary``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .scalar import ONE, Scalar, ZERO, _packed_factors, _packed_scalar, _packed_width, as_scalar, qpow
+from .scalar import ONE, Scalar, ZERO, _ring_for, as_scalar, qpow
+from .triad import _triangle
 
 
 @dataclass(frozen=True)
@@ -94,25 +96,6 @@ class WeightVector:
 
     def prefix(self, n: int) -> "WeightVector":
         return WeightVector(self.weights[:n])
-
-    def constant_values(self) -> list[int | Fraction] | None:
-        """Plain rational values when every weight is constant in q, else None.
-
-        Integral weights come back as ints, which keeps the enumeration
-        oracles and the last-box pass on fast native arithmetic.  The list
-        is computed once per vector and shared: callers must not change it.
-        """
-        return self._constants
-
-    @cached_property
-    def _constants(self) -> list[int | Fraction] | None:
-        out = []
-        for s in self.weights:
-            if not s.is_rational():
-                return None
-            out.append(s.num.coeffs[0])
-        return out
-
 
 def ones(n: int) -> WeightVector:
     return WeightVector((ONE,) * n)
@@ -183,30 +166,15 @@ def second_kind_oracle(w: WeightVector, k: int) -> Scalar:
 
 # -- the last-box recurrence -------------------------------------------------
 
-# The widest packed slot, in bytes.  Past it the Scalar ring is faster, with
-# monomial weights as shifts too: last_box_table(qpowers(n), n, "second")
-# takes 0.09-0.12 s over Scalars and 0.24-0.40 s packed at n = 40 (10-byte
-# slots), 0.65-0.73 s against 1.9-2.4 s at n = 64; family_table("gauss", 48)
-# 0.19-0.28 s against 0.54-0.87 s (Python 3.11, 2-vCPU Xeon).
-_MAX_SLOT = 8
-
-
 def _ring(w: WeightVector, k: int, kind: str = "second") -> tuple[Sequence, Callable]:
-    """The weights' ring: their values, and the read-back of a cell as a Scalar.
+    """The weights' ring, by ``scalar._ring_for``: their values, and the read-back of a cell as a Scalar.
 
     ``k`` is the most factors in any value read back or compared, and
-    ``kind`` their kind; the second kind bounds the first too.  Native ints
-    and Fractions for weights constant in q; packed factors for int
-    polynomials, when the kind's pass to column k over the weights' l1
-    norms needs a slot of at most 8 bytes; else the Scalars themselves.
+    ``kind`` their kind; the second kind bounds the first too.  The kind's
+    pass to column k over the weights' l1 norms sizes a packed slot.
     """
-    values = w.constant_values()
-    if values is not None:
-        return values, as_scalar
-    width = _packed_width([w.weights], lambda norms: max(_last_row(norms, k, kind)))
-    if width is not None and width <= _MAX_SLOT:
-        return _packed_factors([w.weights], width)[0], lambda value: _packed_scalar(value, width)
-    return w.weights, as_scalar
+    (values,), wrap = _ring_for([w.weights], lambda norms: max(_last_row(norms, k, kind)))
+    return values, wrap
 
 
 def _check_kind(kind: str) -> None:
@@ -294,21 +262,20 @@ def second_kind_triangle_table(w: WeightVector, n_max: int) -> list[list[Scalar]
     """The (n, k)-triangle reshaping of the second kind: entry [n][k] is S_{n-k}^k.
 
     Rows n = 0..n_max, columns k = 0..len(w); entries with k > n are zero.
-    One run of its own recurrence over all of w,
+    The triad triangle with i = 1, q = (0, w_1, .., w_n) and d = 0,
         T(n, k) = T(n-1, k)*w_k + T(n-1, k-1),
     with T(0, 0) = 1 and zero elsewhere on the boundary (column 0 vanishes
     for n >= 1: the triangle carries ones on its diagonal, not in its
-    first column).
+    first column), run by ``triad._triangle`` over the weights' ring.
+    Column k depends on no column past it, so each row is cut, or padded
+    with zeros, to the columns 0..len(w).
     """
     if n_max < 0:
         raise ValueError("table sizes must be nonnegative")
     values, wrap = _ring(w, n_max)
-    row = [1] + [0] * len(w)
-    rows = [row]
-    for _ in range(n_max):
-        row = [0] + [row[j] * wj + row[j - 1] for j, wj in enumerate(values, start=1)]
-        rows.append(row)
-    return [[wrap(v) for v in row] for row in rows]
+    zeros = [0] * max(n_max, len(w))
+    rows = _triangle([1] * len(zeros), [0, *values, *zeros], zeros, n_max)
+    return [[wrap(v) for v in (row + zeros)[: len(w) + 1]] for row in rows]
 
 
 # -- identity checks ---------------------------------------------------------

@@ -39,19 +39,22 @@ coefficients.  All three give the same canonical tuple.
 :func:`matrix_product` multiplies two matrices of Scalars by folding
 Scalar products entry by entry; the triad connection check reaches it
 only for a spec off its packed path or for a row that fails there.
-The signed-slot packing also serves the recurrences of ``triad`` and
-``konvalina``, each run over a ring: values that multiply a cell from the
-right with ``*``, and a read-back of a cell as a canonical Scalar, with
-the ints 0 and 1 as every ring's zero and one.  A packed value q^e * p is
-a :class:`_Packed` factor, p at q = +2^(8w) or at q = -2^(8w) (where the
-coefficient of q^m takes the sign (-1)^m) and the shift 8we, so a
-monomial c*q^e costs a product by c and a shift.  :func:`_packed_width`
-sizes the slot from the same computation run over the l1 norms of the
-values' coefficients; :func:`_packed_terms` is the packed ring at that
-slot.  Every slot is exactly as many bytes as its bound needs: 1, 2, 4
-and 8 bytes are array items, 3, 5, 6 and 7 bytes are copied out of
-8-byte items with strided slices, and wider slots pack each coefficient
-with ``int.to_bytes``.
+The recurrences of ``triad`` and ``konvalina`` each run over a ring:
+values that multiply a cell from the right with ``*``, and a read-back of
+a cell as a canonical Scalar, with the ints 0 and 1 as every ring's zero
+and one.  :func:`_ring_for` chooses it, by one rule for both modules:
+native ints and Fractions when every value is constant in q; packed
+factors when every value is a polynomial with int coefficients and the
+slot is at most ``_MAX_SLOT`` (8) bytes, past which big-int arithmetic
+loses to Scalar arithmetic; else the Scalars themselves.  A packed value
+q^e * p is a :class:`_Packed` factor, p at q = +2^(8w) or at q = -2^(8w)
+(where the coefficient of q^m takes the sign (-1)^m) and the shift 8we,
+so a monomial c*q^e costs a product by c and a shift.
+:func:`_packed_width` sizes the slot from the same computation run over
+the l1 norms of the values' coefficients.  Every slot is exactly as many
+bytes as its bound needs: 1, 2, 4 and 8 bytes are array items, 3, 5, 6
+and 7 bytes are copied out of 8-byte items with strided slices, and wider
+slots pack each coefficient with ``int.to_bytes``.
 
 Printing: integers print bare ("5"), polynomials as canonical
 ascending-power strings ("1 + q - 2*q^3"), quotients as "num / den" with
@@ -693,19 +696,37 @@ def _packed_width(sequences: Sequence[Sequence[Scalar]], bound: Callable[..., in
     return _slot_width(max((bound(*norms), *(_magnitude(s.num.coeffs) for seq in sequences for s in seq))))
 
 
-def _packed_terms(
-    sequences: Sequence[Sequence[Scalar]], bound: Callable[..., int]
-) -> tuple[list[list[_Packed]], Callable[[int], Scalar]] | None:
-    """The packed ring of a recurrence that multiplies by the scalars of each sequence.
+# The widest packed slot, in bytes.  Past it the Scalar ring is faster, with
+# monomial weights as shifts too.  last_box_table(qpowers(n), n, "second")
+# takes 0.09-0.12 s over Scalars and 0.24-0.40 s packed at n = 40 (10-byte
+# slots), 0.65-0.73 s against 1.9-2.4 s at n = 64; family_table("gauss", 48)
+# 0.19-0.28 s against 0.54-0.87 s.  The triad's gauss table takes 63 ms packed
+# and 106 ms over Scalars at 64 rows (8-byte slots), 412 against 189 ms at 72
+# rows (9 bytes), 717 against 344 ms at 80 (10 bytes) and 1723 against 763 ms
+# at 100 (13 bytes); a seeded d != 0 spec at 52 rows, 232 against 160 ms for
+# its duals (10 bytes) and 129 against 107 ms for its table (12 bytes).  Only
+# a small q(k) = k*q spec at 26 rows is still faster packed past the cap, 2.3
+# against 3.6 ms for its duals (11 bytes).  In-process medians of 5, Python
+# 3.11, 2-vCPU Xeon.
+_MAX_SLOT = 8
 
-    The scalars as :func:`_packed_factors` at the slot of :func:`_packed_width`,
-    and the read-back of a packed value as a canonical Scalar; None unless
-    every scalar is a polynomial with int coefficients.
+
+def _ring_for(sequences: Sequence[Sequence[Scalar]], bound: Callable[..., int]) -> tuple[Sequence, Callable]:
+    """The ring of a recurrence that multiplies by the scalars of each sequence.
+
+    Its values, one list per sequence, and the read-back of a cell as a
+    canonical Scalar.  Native ints and Fractions when every scalar is
+    constant in q, read back with ``as_scalar``; :func:`_packed_factors` at
+    the slot of :func:`_packed_width` when every scalar is a polynomial with
+    int coefficients and that slot is at most ``_MAX_SLOT`` bytes; else the
+    sequences themselves, read back with ``as_scalar``.
     """
+    if all(s.is_rational() for seq in sequences for s in seq):
+        return [[s.num.coeffs[0] for s in seq] for seq in sequences], as_scalar
     width = _packed_width(sequences, bound)
-    if width is None:
-        return None
-    return _packed_factors(sequences, width), lambda value: _packed_scalar(value, width)
+    if width is not None and width <= _MAX_SLOT:
+        return _packed_factors(sequences, width), lambda value: _packed_scalar(value, width)
+    return sequences, as_scalar
 
 
 # -- text form -------------------------------------------------------------

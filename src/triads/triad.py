@@ -21,24 +21,29 @@ i, q and d, the dual recurrence, phi_{k+1} = (1/i(k))*(x*phi_k
 - q(k)*phi_k - d(k)*phi_{k-1}), by 1/i(k), -q(k) and -d(k).  A ring is
 those values, each multiplying a cell from the right with ``*``, and a
 read-back of a cell as a canonical Scalar; cells start from the ints 0
-and 1.  The ring is packed, ``scalar._packed_terms``, when every value is
-a polynomial in q with int coefficients (for the duals, i(k) = +-1/c):
+and 1.  ``scalar._ring_for`` chooses it, by the rule ``konvalina`` uses
+too.  Values all constant in q, as in pascal and stirling2, run as native
+ints and Fractions.  Values all polynomials in q with int coefficients
+(for the duals, i(k) = +-1/c) run packed, when the slot fits 8 bytes:
 each value is a ``scalar._Packed`` factor at q = 2^(8w), so a monomial
-c*q^e costs a product by c and a shift.  Otherwise it is the Scalars,
-read back with ``as_scalar``.  The slot width w comes from the same
-recurrence run over the l1 norms |.|_1 of the values' coefficients,
+c*q^e costs a product by c and a shift.  Otherwise, and past 8 bytes, the
+ring is the Scalars.  Native and Scalar cells are read back with
+``as_scalar``.  The slot width w comes from the same recurrence run over
+the l1 norms |.|_1 of the values' coefficients,
     |c[n+1][k]|_1 <= |i(k-1)|_1*|c[n][k-1]|_1 + |q(k)|_1*|c[n][k]|_1 + |d(k+1)|_1*|c[n][k+1]|_1,
 and the same rule for the coefficients of phi_{k+1}; the slot also holds
 the values themselves.  Each cell is read back once, equal to what the
 recurrence over Scalars gives.
 
-When both recurrences run packed (every i(k) is +-1, the units of Z[q]),
-the connection check reads nothing back.  B bounds every coefficient of
-every sum_k c[n][k]*Phi[k][j], where Phi[k][j] is the x^j coefficient of
-phi_k, from the same recurrences over the l1 norms; with
-w = _slot_width(B) and h = ceil(w/2) bytes, both recurrences run on the
-values packed at q = +2^(8h) and at q = -2^(8h), and each row of C * Phi
-must be the unit row of x^n at both points.  Two points with half a slot
+When every value of both recurrences is a polynomial with int
+coefficients, constants included (so every i(k) is +-1, the units of
+Z[q]), the connection check packs them itself, with no cap, and reads
+nothing back.  B bounds every coefficient of every sum_k c[n][k]*Phi[k][j],
+where Phi[k][j] is the x^j coefficient of phi_k, from the same
+recurrences over the l1 norms; with w = _slot_width(B) and h = ceil(w/2)
+bytes, both recurrences run on the values packed at q = +2^(8h) and at
+q = -2^(8h), and each row of C * Phi must be the unit row of x^n at both
+points.  Two points with half a slot
 each are exact: for a polynomial S whose coefficients are below 2^(16h)
 in magnitude, S(2^(8h)) = S(-2^(8h)) = 0 puts both its even and its odd
 part to zero at 2^(16h), so S = 0.  Each product has half the bits of a
@@ -64,7 +69,7 @@ from .scalar import (
     ZERO,
     _l1_norms,
     _packed_factors,
-    _packed_terms,
+    _ring_for,
     _slot_width,
     as_scalar,
     matrix_product,
@@ -145,7 +150,7 @@ def coefficient_table(spec: TriadSpec, rows: int) -> TriadTable:
 
 def _table_from(values: tuple[list, list, list], rows: int) -> list[list[Scalar]]:
     """The triangle's rows of Scalars over the values :func:`_triangle_values` read."""
-    terms, read = _packed_terms(values, lambda *norms: max(map(max, _triangle(*norms, rows)))) or (values, as_scalar)
+    terms, read = _ring_for(values, lambda *norms: max(map(max, _triangle(*norms, rows))))
     return [list(map(read, row)) for row in _triangle(*terms, rows)]
 
 
@@ -196,7 +201,7 @@ def dual_polynomials(spec: TriadSpec, count: int) -> list[Poly]:
 
 def _duals_from(values: tuple[list, list, list], count: int) -> list[Poly]:
     """phi_0 .. phi_count over the values 1/i, -q and -d that :func:`_dual_values` read."""
-    terms, read = _packed_terms(values, lambda *norms: max(map(max, _dual_rows(*norms, count)))) or (values, as_scalar)
+    terms, read = _ring_for(values, lambda *norms: max(map(max, _dual_rows(*norms, count))))
     return [Poly._raw(tuple(map(read, phi))) for phi in _dual_rows(*terms, count)]
 
 
@@ -267,13 +272,13 @@ def verify_connection(spec: TriadSpec, rows: int) -> SuiteResult:
     coefficient row of x^n.  The sequence values are read once, as
     :func:`coefficient_table` and then :func:`dual_polynomials` read them,
     so a failing read raises the same error, and both routes below run the
-    recurrences on the values read there.  When both recurrences run
-    packed, :func:`_connection_at_two_points` checks every row on their
-    packed ints and reads nothing back: B bounds every coefficient of every
-    sum_k c[n][k]*Phi[k][j], both recurrences run at q = +2^b and at
-    q = -2^b with 2b bits enough for B, and a row equal to that of x^n at
-    both points is x^n, since the two values give the even and the odd
-    part of the row at 4^b.  A spec off that path, or a row that differs
+    recurrences on the values read there.  When every value is a
+    polynomial with int coefficients, :func:`_connection_at_two_points`
+    checks every row on packed ints and reads nothing back: B bounds every
+    coefficient of every sum_k c[n][k]*Phi[k][j], both recurrences run at
+    q = +2^b and at q = -2^b with 2b bits enough for B, and a row equal to
+    that of x^n at both points is x^n, since the two values give the even
+    and the odd part of the row at 4^b.  A spec off that path, or a row that differs
     there, takes the Scalar route: C * Phi by :func:`matrix_product`,
     compared with x^n entry by entry, with the residual polynomial built
     only for a row that differs.  One FAIL line per row n whose residual

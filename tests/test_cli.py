@@ -345,6 +345,16 @@ def test_konvalina_table_json_matches_golden(capsys, kind):
             )
             for kind in ("first", "second")
         ),
+        # sequences constant in q: the recurrences run on native ints and Fractions
+        (("table", "--spec", "stirling2", "--rows", "12", "--format", "json"), "table_spec_stirling2_rows12.json"),
+        (
+            ("table", "--spec", str(GOLDEN / "spec_fraction_constants.json"), "--rows", "8", "--format", "json"),
+            "table_spec_fraction_constants_rows8.json",
+        ),
+        (
+            ("verify", "--spec", str(GOLDEN / "spec_fraction_constants.json"), "--rows", "8"),
+            "verify_spec_fraction_constants_rows8.txt",
+        ),
     ],
 )
 def test_cli_output_matches_golden(capsys, argv, golden):
@@ -606,17 +616,27 @@ def test_verify_genfun_order_at_minimum_passes(capsys):
 
 def test_verify_spec_failure_names_row_and_residual(capsys, monkeypatch):
     # adding 1 to c[3][1] of pascal adds phi_1 = x - 1 to row 3 only; the
-    # packed check and the Scalar route both build the triangle with
-    # _triangle, so both see it, while the l1 bound (over int values) does not
-    correct = triad._triangle
+    # two-point check and the native route both build the triangle with
+    # _triangle, so both see it, while the l1 bound of _connection_bound,
+    # the triangle over the values' norms, does not
+    correct, bound = triad._triangle, triad._connection_bound
+    bounding = []
 
     def perturbed(i, q, d, rows):
         table = correct(i, q, d, rows)
-        if type(d[0]) is not int:
+        if not bounding:
             table[3][1] = table[3][1] + 1
         return table
 
+    def unperturbed_bound(norms, rows):
+        bounding.append(True)
+        try:
+            return bound(norms, rows)
+        finally:
+            bounding.pop()
+
     monkeypatch.setattr(triad, "_triangle", perturbed)
+    monkeypatch.setattr(triad, "_connection_bound", unperturbed_bound)
     code, out, _ = run(capsys, "verify", "--spec", "pascal", "--rows", "4")
     assert code == 1
     assert out.splitlines() == [

@@ -263,6 +263,13 @@ def test_oracle_column_refuses_an_unknown_kind():
         oracle_column(ones(2), 1, "third")
 
 
+def _constants(w):
+    """The weights as plain ints and Fractions when every one is constant in q, else None."""
+    if not all(s.is_rational() for s in w.weights):
+        return None
+    return [s.num.coeffs[0] for s in w.weights]
+
+
 def _states(values, k, kind):
     return [dp[:] for dp in _last_box_rows(values, k, kind)]
 
@@ -276,7 +283,7 @@ def test_native_ring_matches_scalar_ring_on_constant_vectors(seed):
             [rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-6, 6), rng.randint(1, 4))]) for _ in range(length)]
         )
         values, wrap = _ring(w, length + 1)
-        assert wrap is as_scalar and values == w.constant_values()
+        assert wrap is as_scalar and values == _constants(w)
         for k in range(length + 2):
             for kind in ("first", "second"):
                 native = _states(values, k, kind)
@@ -446,8 +453,8 @@ def test_weight_rules_materialize_to_closed_forms():
 def test_weight_vector_access():
     w = WeightVector.of([4, 5, 6])
     assert w.prefix(2).weights == (as_scalar(4), as_scalar(5))
-    assert w.constant_values() == [4, 5, 6]
-    assert WeightVector.of([Q]).constant_values() is None
+    assert _constants(w) == [4, 5, 6] == _ring(w, 3)[0]
+    assert _constants(WeightVector.of([Q])) is None
 
 
 # -- the packed ring ---------------------------------------------------------
@@ -633,6 +640,12 @@ def test_packed_ring_matches_the_scalar_ring(weights, k):
         assert _typed(ringed) == _typed(_everything(w, k))
 
 
+def _ring_taken(w, k):
+    """The ring ``_ring(w, k)`` takes: "constant", "packed" or "scalar"."""
+    values, _ = _ring(w, k)
+    return "constant" if values == _constants(w) else "scalar" if values is w.weights else "packed"
+
+
 def _cells(value):
     """The leaves of a value, a table or a list of them, flattened."""
     if isinstance(value, list):
@@ -653,9 +666,7 @@ def test_every_cell_is_a_scalar_on_every_ring(weights, ring):
     # turns every cell into a Scalar: the zeros above the diagonal of the
     # first kind and of the triangle, and the ones of row 0, included
     w = WeightVector.of(weights)
-    values, _ = _ring(w, len(w) + 1)
-    taken = "constant" if values == w.constant_values() else "scalar" if values is w.weights else "packed"
-    assert taken == ring
+    assert _ring_taken(w, len(w) + 1) == ring
     k = len(w) + 1
     out = _everything(w, k)
     identities = out[-(2 + len(w) + 1):]
@@ -687,3 +698,28 @@ def test_shifted_factors_match_the_scalar_ring(monkeypatch, k):
     packed = _everything(w, k)
     _forced_onto_scalars(monkeypatch)
     assert _typed(packed) == _typed(_everything(w, k))
+
+
+@pytest.mark.parametrize("n_max", [2, 12])
+@pytest.mark.parametrize(
+    "weights, ring",
+    [
+        ([2, Fraction(-1, 2), 3, 1], "constant"),
+        (qpowers(6).weights, "packed"),
+        ([parse_scalar(text) for text in "q^2+2*q^3,1,q-q^4,3*q^5,-q^3".split(",")], "packed"),
+        ([(1 + Q) / (1 - 2 * Q), Q / 3, as_scalar(2)], "scalar"),
+    ],
+)
+def test_triangle_matches_the_enumeration_on_every_ring(weights, ring, n_max):
+    # T(m + k, m) = h_k(w_1..w_m), read from one enumeration per k; the
+    # entries above the diagonal are zero, and n_max runs below and above len(w)
+    w = WeightVector.of(weights)
+    assert _ring_taken(w, n_max) == ring
+    tri = second_kind_triangle_table(w, n_max)
+    assert len(tri) == n_max + 1 and {len(row) for row in tri} == {len(w) + 1}
+    assert {type(c) for row in tri for c in row} == {Scalar}
+    for k in range(n_max + 1):
+        column = oracle_column(w, k, "second")
+        assert [tri[m + k][m] for m in range(min(len(w), n_max - k) + 1)] == column[: n_max - k + 1]
+    for n, row in enumerate(tri):
+        assert row[n + 1 :] == [ZERO] * (len(w) - n)

@@ -77,7 +77,7 @@ def test_table_matches_the_single_entries(monkeypatch, name):
             # q-polynomials not all constant, and their l1 norms take one
             # pass first, which sizes the packed slot
             weights = psi_weights(psi, rows - 1 if kind == "first" else rows)
-            constant = weights.constant_values() is not None
+            constant = all(s.is_rational() for s in weights.weights)
             assert constant == (name != "qfact" or len(weights) < 2)
             assert len(passes) == (1 if constant else 2)
             # [n k]_psi enumerates n-k of (1_psi .. (n-1)_psi), {n k}_psi n-k of (1_psi .. k_psi)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from triads import triad
 from triads.poly import P_ONE, DegreeLimitError, Poly, X
-from triads.scalar import ONE, Q, QPoly, Scalar, ZERO, _l1_norms, as_scalar, qpow
+from triads.scalar import ONE, Q, QPoly, Scalar, ZERO, _l1_norms, _packed_width, as_scalar, qpow
 from triads.triad import (
     SingularTriadError,
     TriadSpec,
@@ -234,19 +234,31 @@ def _outcome(compute):
 
 
 def _forced_onto_scalars(monkeypatch):
-    monkeypatch.setattr(triad, "_packed_terms", lambda sequences, bound: None)
+    monkeypatch.setattr(triad, "_ring_for", lambda sequences, bound: (sequences, as_scalar))
 
 
-def _spy_packed(monkeypatch):
-    """The results of ``_packed_terms``, recorded as the recurrences call it."""
+def _spy_rings(monkeypatch):
+    """What ``_ring_for`` chose, recorded as the recurrences call it.
+
+    One (width, ring) pair per call: the slot ``_packed_width`` gives, None
+    unless every value is a polynomial with int coefficients, and the ring
+    taken, "native", "packed" or "scalar".  Each call is checked against
+    the rule: native when every value is constant in q, else packed within
+    8-byte slots, else the Scalars.
+    """
     results = []
-    real = triad._packed_terms
+    real = triad._ring_for
 
     def spy(sequences, bound):
-        results.append(real(sequences, bound))
-        return results[-1]
+        terms, read = real(sequences, bound)
+        ring = "scalar" if terms is sequences else "native" if read is as_scalar else "packed"
+        width = _packed_width(sequences, bound)
+        constant = all(s.is_rational() for seq in sequences for s in seq)
+        assert ring == ("native" if constant else "packed" if width is not None and width <= 8 else "scalar")
+        results.append((width, ring))
+        return terms, read
 
-    monkeypatch.setattr(triad, "_packed_terms", spy)
+    monkeypatch.setattr(triad, "_ring_for", spy)
     return results
 
 
@@ -278,10 +290,10 @@ reciprocal_i = st.builds(lambda sign, c: sign * ONE / c, st.sampled_from((1, -1)
 def test_packed_recurrences_match_the_scalar_loops(case):
     spec, rows = case
     with pytest.MonkeyPatch.context() as monkeypatch:
-        packed = _spy_packed(monkeypatch)
+        rings = _spy_rings(monkeypatch)
         table, phis = coefficient_table(spec, rows), dual_polynomials(spec, rows)
         units = all(spec.i_seq(k) in (ONE, -ONE) for k in range(rows))
-        assert [result is None for result in packed] == [not units, False]
+        assert [width is None for width, _ in rings] == [not units, False]
     with pytest.MonkeyPatch.context() as monkeypatch:
         _forced_onto_scalars(monkeypatch)
         scalar_table, scalar_phis = coefficient_table(spec, rows), dual_polynomials(spec, rows)
@@ -292,7 +304,7 @@ def test_packed_recurrences_match_the_scalar_loops(case):
 
 
 def test_i_off_plus_minus_one_or_off_int_polynomials_takes_the_scalar_loops(monkeypatch):
-    packed = _spy_packed(monkeypatch)
+    rings = _spy_rings(monkeypatch)
     for spec in (
         TriadSpec.of([1, 2, 1], [Q, 1, 2], [0, 1, Q]),
         TriadSpec.of(1, [Q, ONE / (ONE + Q), 2], 1),
@@ -301,9 +313,10 @@ def test_i_off_plus_minus_one_or_off_int_polynomials_takes_the_scalar_loops(monk
         assert list(coefficient_table(spec, 3).rows) == _interleaved_table(spec, 3)
         assert dual_polynomials(spec, 3) == _interleaved_duals(spec, 3)
     # the triangle reads no i off +-1 and packs the first spec; every spec's
-    # duals consult _packed_terms, and none packs: the first multiplies by
+    # duals consult _ring_for, and none packs: the first multiplies by
     # 1/i(1) = 1/2, the second by -q(1) = -1/(1 + q), the third by -d(1) = -q/2
-    assert [result is None for result in packed] == [False, True, True, True, True, True]
+    assert [width is None for width, _ in rings] == [False, True, True, True, True, True]
+    assert [ring for _, ring in rings] == ["packed"] + ["scalar"] * 5
 
 
 @st.composite
@@ -546,12 +559,49 @@ def test_half_widths_on_both_sides_of_eight_bytes(monkeypatch, spec, rows, half)
 def test_every_cell_is_a_scalar_on_both_routes(monkeypatch, spec, packed, forced):
     # the recurrences start from the ints 0 and 1, so c[0][0] and phi_0 are
     # ints until the read-back; every cell and coefficient comes back a Scalar
-    results = _spy_packed(monkeypatch)
+    results = _spy_rings(monkeypatch)
     if forced:
         _forced_onto_scalars(monkeypatch)
     table, phis = coefficient_table(spec, 4), dual_polynomials(spec, 4)
     if not forced:
-        assert [result is None for result in results] == packed
+        assert [width is None for width, _ in results] == packed
     assert table.rows[0] == (ONE,) and phis[0].coeffs == (ONE,)
     assert {type(c) for row in table.rows for c in row} == {Scalar}
     assert {type(c) for phi in phis for c in phi.coeffs} == {Scalar}
+
+
+def _both_recurrences(spec, rows):
+    return coefficient_table(spec, rows).rows, dual_polynomials(spec, rows)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [pascal_spec(), stirling2_spec(), TriadSpec.of(Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3), name="thirds")],
+    ids=lambda spec: spec.name,
+)
+def test_specs_constant_in_q_run_on_native_numbers(monkeypatch, spec):
+    rows = 9
+    rings = _spy_rings(monkeypatch)
+    table, phis = _both_recurrences(spec, rows)
+    assert [ring for _, ring in rings] == ["native", "native"]
+    assert {type(c) for row in table for c in row} == {Scalar}
+    assert {type(c) for phi in phis for c in phi.coeffs} == {Scalar}
+    _forced_onto_scalars(monkeypatch)
+    assert [_typed(row) for row in table] == [_typed(row) for row in coefficient_table(spec, rows).rows]
+    assert [_typed(phi.coeffs) for phi in phis] == [_typed(phi.coeffs) for phi in dual_polynomials(spec, rows)]
+
+
+def _capped_spec():
+    """i = 1, q(0) = 6, q(k) = 3 + 3q^k, d(k) = 3q^k: its table needs a slot of 8 bytes at 20 rows and 9 at 21."""
+    return TriadSpec.of(ONE, lambda k: as_scalar(6) if k == 0 else 3 + 3 * qpow(k), lambda k: 3 * qpow(k), name="capped")
+
+
+@pytest.mark.parametrize("rows, widths, table_ring", [(20, [8, 8], "packed"), (21, [9, 8], "scalar")])
+def test_the_table_leaves_the_packed_ring_past_eight_bytes(monkeypatch, rows, widths, table_ring):
+    spec = _capped_spec()
+    rings = _spy_rings(monkeypatch)
+    table, phis = _both_recurrences(spec, rows)
+    assert rings == [(widths[0], table_ring), (widths[1], "packed")]
+    _forced_onto_scalars(monkeypatch)
+    assert [_typed(row) for row in table] == [_typed(row) for row in coefficient_table(spec, rows).rows]
+    assert [_typed(phi.coeffs) for phi in phis] == [_typed(phi.coeffs) for phi in dual_polynomials(spec, rows)]
