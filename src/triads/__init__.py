@@ -38,8 +38,8 @@ from .konvalina import (
     first_kind_table,
     last_box_identity,
     naturals,
-    oracle_column,
     ones,
+    oracle_table,
     qpowers,
     second_kind,
     second_kind_oracle,

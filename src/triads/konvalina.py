@@ -8,18 +8,16 @@ gives the second-kind coefficient -- the complete homogeneous h_k.
 Each kind comes in two computational routes that the test suite plays
 against each other:
 
-  * ``oracle_column``, ``first_kind_oracle`` and ``second_kind_oracle`` --
-    direct enumeration of the index tuples, one enumerator fed
-    ``combinations`` or ``combinations_with_replacement`` (the
+  * ``oracle_table``, ``first_kind_oracle`` and ``second_kind_oracle`` --
+    direct enumeration of the index tuples by ``_enumerate`` (the
     definitional, anti-regression route; exponential, intended for the
-    desk scale; it shares no code with the recurrence).  It runs over the
-    weights in reverse order, where the tuples drawn from the first m
-    weights are a suffix of the enumeration, so one run gives the value
-    over every prefix: ``oracle_column`` returns them all, the two oracles
-    the last.  Each term is the product of one whole tuple taken in
-    descending box order, which is exact only over commuting weights;
-    every ring here commutes, but operator-valued weights would need the
-    products reordered before they reuse it,
+    desk scale; it shares no code with the recurrence).  It forms every
+    tuple's term on its own, as the term of the tuple without its largest
+    box times that box's weight, one product per tuple, with the factors
+    in ascending box order, and sums the terms by size and largest box, so
+    one enumeration per weight vector and kind gives the value at every
+    size over every prefix: ``oracle_table`` returns them all, the two
+    oracles one,
   * one last-box pass, ``_last_box_rows``, adding the boxes one at a
     time; the kinds differ only in the order it updates the columns.
     ``first_kind`` / ``second_kind`` read one value of its last state, and
@@ -72,9 +70,7 @@ derived from the last-box decomposition are checked by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .scalar import ONE, Scalar, ZERO, _ring_for, as_scalar, qpow
@@ -114,54 +110,70 @@ WEIGHT_RULES = {"ones": ones, "naturals": naturals, "qpowers": qpowers}
 
 # -- definitional oracles ----------------------------------------------------
 
-def _enumerate(w: WeightVector, k: int, kind: str) -> tuple[list, Callable]:
-    """The kind's value k over the first m weights for every m = 0..len(w), and the map back to Scalars.
+def _enumerate(w: WeightVector, k_max: int, kind: str) -> tuple[list[list], Callable]:
+    """The kind's values 0..k_max over the first m weights for every m = 0..len(w), and the map back to Scalars.
 
-    One enumeration of the k-tuples the kind draws (distinct boxes, or
-    repeats allowed) over the weights in reverse order.  In lexicographic
-    order the tuples drawn from the first m weights are the last comb(m, k)
-    (first kind) or comb(m + k - 1, k) (second kind), so the products are
-    summed in runs, one run per box, and the running sum from the end is
-    the value over each prefix.  Every term is the product of one whole
-    tuple, in descending box order: the column is right only over a
-    commuting ring, as every ring of this module is.  Non-commuting
-    weights would need each tuple's product taken in ascending order.
+    One sweep per tuple size j = 1..k_max forms the term of every j-tuple the
+    kind draws (distinct boxes, or repeats allowed), grouped by the tuple's
+    largest box: the size-j terms that end at box i are p * w_i for each
+    size-(j-1) term p that ends before box i (first kind) or at most at it
+    (second kind).  The empty tuple is the one size-0 term, at a box 0 that
+    holds no weight, so each term, the size-1 ones too, costs one product by
+    a weight, and the factors of every term come in ascending box order,
+    which is exact over non-commuting weights too.  Each group is summed
+    only after its terms are formed; summing the size-(j-1) groups before
+    the product would be the last-box recurrence, which this oracle checks.
+    Entry [m][j] is the running sum of the size-j group sums over the boxes
+    1..m.
+
+    The sweep holds terms, not a stream of tuples: the size-(j-1) groups stay
+    alive while the size-j groups are formed, for j < k_max up to
+    comb(n, j - 1) + comb(n, j) ring values (first kind) or
+    comb(n + j - 2, j - 1) + comb(n + j - 1, j) (second kind); the last
+    size's terms are summed box by box and dropped.
     """
-    n = len(w)
-    if k < 0:
-        return [0] * (n + 1), as_scalar
-    if k == 0:
-        return [1] * (n + 1), as_scalar
-    values, wrap = _ring(w, k, kind)
-    if kind == "first":
-        index_tuples, count = combinations, lambda m: math.comb(m, k)
-    else:
-        index_tuples, count = combinations_with_replacement, lambda m: math.comb(m + k - 1, k)
-    products = map(math.prod, index_tuples(values[::-1], k))
-    runs = [sum(islice(products, count(m) - count(m - 1))) for m in range(n, 0, -1)]
-    column = [0]
-    for run in reversed(runs):
-        column.append(column[-1] + run)
-    return column, wrap
+    values, wrap = _ring(w, k_max, kind)
+    # each box i reads the groups of boxes 0..i-1 (first kind) or 0..i (second)
+    reach = 0 if kind == "first" else 1
+    rows = [[1] + [0] * k_max for _ in range(len(values) + 1)]
+    groups = [[1]] + [[]] * len(values)
+    for j in range(1, k_max + 1):
+        kept = [[]]
+        for i, wi in enumerate(values, start=1):
+            terms = [p * wi for group in groups[: i + reach] for p in group]
+            if j < k_max:
+                kept.append(terms)
+            rows[i][j] = rows[i - 1][j] + sum(terms)
+        groups = kept
+    return rows, wrap
 
 
-def oracle_column(w: WeightVector, k: int, kind: str) -> list[Scalar]:
-    """Entry [m] is the kind's value k over the first m weights, m = 0..len(w), by one enumeration."""
+def oracle_table(w: WeightVector, k_max: int, kind: str) -> list[list[Scalar]]:
+    """Entry [m][k] is the kind's value k over the first m weights, m = 0..len(w), k = 0..k_max, by enumeration.
+
+    The layout of ``last_box_table``; first-kind entries with k > m are zero.
+    """
     _check_kind(kind)
-    column, wrap = _enumerate(w, k, kind)
-    return [wrap(v) for v in column]
+    if k_max < 0:
+        raise ValueError("table sizes must be nonnegative")
+    rows, wrap = _enumerate(w, k_max, kind)
+    return [[wrap(v) for v in row] for row in rows]
 
 
 def first_kind_oracle(w: WeightVector, k: int) -> Scalar:
     """Sum of products over strictly increasing index tuples (enumeration)."""
-    column, wrap = _enumerate(w, k, "first")
-    return wrap(column[-1])
+    if k < 0:
+        return ZERO
+    rows, wrap = _enumerate(w, k, "first")
+    return wrap(rows[-1][k])
 
 
 def second_kind_oracle(w: WeightVector, k: int) -> Scalar:
     """Sum of products over weakly increasing index tuples (enumeration)."""
-    column, wrap = _enumerate(w, k, "second")
-    return wrap(column[-1])
+    if k < 0:
+        return ZERO
+    rows, wrap = _enumerate(w, k, "second")
+    return wrap(rows[-1][k])
 
 
 # -- the last-box recurrence -------------------------------------------------

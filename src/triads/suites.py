@@ -12,10 +12,10 @@ Wherever a suite compares two routes, the routes are independent: tables
 against definitional enumeration, operator eigenvalues against scalar
 arrays, scalar arrays against classical integer recurrences and
 ``math.comb``.  Each compared value is computed once and checked against
-every reference it meets.  The enumeration is read by column: one
-``oracle_column`` call per weight vector, k and kind gives the value over
-every prefix of the vector, and the tables' entries at those prefixes are
-compared with it.  The reference values are cached where they repeat
+every reference it meets.  The enumeration is read as a table: one
+``oracle_table`` call per weight vector and kind gives the value at every
+k over every prefix of the vector, and the tables' entries are compared
+with it cell by cell.  The reference values are cached where they repeat
 across suites.  A suite's parameters are exactly the verify
 options it reads; every other size is a constant stated once, in the
 suite body.
@@ -37,8 +37,8 @@ from .konvalina import (
     first_kind_table,
     last_box_table,
     naturals,
-    oracle_column,
     ones,
+    oracle_table,
     qpowers,
     second_kind_triangle_table,
 )
@@ -111,17 +111,17 @@ def suite_konvalina_oracle(seed: int = DEFAULT_SEED) -> SuiteResult:
         st = last_box_table(w, n, "second")
         # entry [m + k][m] is the second kind k over the first m boxes
         tri = second_kind_triangle_table(w, 2 * n)
-        for k in range(n + 1):
-            # one enumeration per column gives the value over every prefix
-            first = oracle_column(w, k, "first")
-            second = oracle_column(w, k, "second")
-            for m in range(n + 1):
-                if k <= m and ct[m][k] != first[m]:
+        # one enumeration per kind gives the value at every k over every prefix
+        first = oracle_table(w, n, "first")
+        second = oracle_table(w, n, "second")
+        for m in range(n + 1):
+            for k in range(n + 1):
+                if k <= m and ct[m][k] != first[m][k]:
                     first_ok = False
                 # each second-kind value against the table and the triangle
-                if st[m][k] != second[m]:
+                if st[m][k] != second[m][k]:
                     second_ok = False
-                if tri[m + k][m] != second[m]:
+                if tri[m + k][m] != second[m][k]:
                     triangle_ok = False
     result.check(first_ok, f"first-kind table == enumeration, {count} random vectors (len <= {_RANDOM_LEN_MAX})")
     result.check(second_ok, f"second-kind table == enumeration, {count} random vectors")
@@ -210,25 +210,26 @@ def suite_families(rows: int = 12) -> SuiteResult:
     result = SuiteResult("families")
     pascal_ok = stirling2_ok = stirling1_ok = gauss_ok = gauss_q1_ok = True
     tables = {name: family_table(name, rows) for name in FAMILIES}
-    # one enumeration per column c (c = k, or c = n - k), each over a vector
-    # whose prefix the entry (n, k) reads
-    pascal = [oracle_column(ones(rows), c, "first") for c in range(rows + 1)]
-    stirling2 = [oracle_column(naturals(rows - c), c, "second") for c in range(rows + 1)]
-    stirling1 = [oracle_column(naturals(max(rows - 1, 0)), c, "first") for c in range(rows + 1)]
-    gauss = [oracle_column(qpowers(rows - c + 1), c, "second") for c in range(rows + 1)]
+    # pascal and stirling1 read every column from one enumeration over one
+    # vector; stirling2 and gauss take one per column c (c = n - k, or c = k),
+    # each over the shorter vector whose prefix the entry (n, k) reads
+    pascal = oracle_table(ones(rows), rows, "first")
+    stirling1 = oracle_table(naturals(max(rows - 1, 0)), rows, "first")
+    stirling2 = [oracle_table(naturals(rows - c), c, "second") for c in range(rows + 1)]
+    gauss = [oracle_table(qpowers(rows - c + 1), c, "second") for c in range(rows + 1)]
     for n in range(rows + 1):
         for k in range(n + 1):
             pval = tables["pascal"][n][k]
-            pascal_ok = pascal_ok and pval == pascal[k][n]
+            pascal_ok = pascal_ok and pval == pascal[n][k]
             pascal_ok = pascal_ok and pval == as_scalar(math.comb(n, k))
             s2val = tables["stirling2"][n][k]
-            stirling2_ok = stirling2_ok and s2val == stirling2[n - k][k]
+            stirling2_ok = stirling2_ok and s2val == stirling2[n - k][k][n - k]
             stirling2_ok = stirling2_ok and s2val == as_scalar(_int_stirling2(n, k))
             s1val = tables["stirling1"][n][k]
-            stirling1_ok = stirling1_ok and s1val == stirling1[n - k][max(n - 1, 0)]
+            stirling1_ok = stirling1_ok and s1val == stirling1[max(n - 1, 0)][n - k]
             stirling1_ok = stirling1_ok and s1val == as_scalar(_int_stirling1(n, k))
             gval = tables["gauss"][n][k]
-            gauss_ok = gauss_ok and gval == gauss[k][n - k + 1]
+            gauss_ok = gauss_ok and gval == gauss[k][n - k + 1][k]
             gauss_ok = gauss_ok and gval == _q_binomial_by_factorials(n, k)
             gauss_q1_ok = gauss_q1_ok and gval.eval_q(1) == Fraction(math.comb(n, k))
     result.check(pascal_ok, f"pascal == unit-weight enumeration == math.comb, n <= {rows}")

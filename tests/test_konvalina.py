@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
@@ -23,8 +24,8 @@ from triads.konvalina import (
     last_box_row,
     last_box_table,
     naturals,
-    oracle_column,
     ones,
+    oracle_table,
     qpowers,
     second_kind,
     second_kind_oracle,
@@ -198,28 +199,26 @@ def _enumerated_per_prefix(w, k, kind):
     ]
 
 
-def _watch_enumerations(monkeypatch):
-    """Swap ``konvalina``'s tuple generators for counting ones: [drawn, generator] per enumeration."""
-    watched = []
+def _count_products(monkeypatch):
+    """Wrap the weights of ``konvalina._ring`` in factors that count the products by them, one count per ring."""
+    counts = []
+    real = konvalina._ring
 
-    def counting(real):
-        def counted(values, k):
-            tuples = real(values, k)
-            record = [0, tuples]
-            watched.append(record)
+    class Counted:
+        def __init__(self, value):
+            self.value = value
 
-            def draws():
-                for t in tuples:
-                    record[0] += 1
-                    yield t
+        def __rmul__(self, p):
+            counts[-1] += 1
+            return p * self.value
 
-            return draws()
+    def counting(w, k, kind="second"):
+        values, wrap = real(w, k, kind)
+        counts.append(0)
+        return [Counted(v) for v in values], wrap
 
-        return counted
-
-    for name in ("combinations", "combinations_with_replacement"):
-        monkeypatch.setattr(konvalina, name, counting(getattr(konvalina, name)))
-    return watched
+    monkeypatch.setattr(konvalina, "_ring", counting)
+    return counts
 
 
 _COLUMN_WEIGHTS = {
@@ -242,25 +241,70 @@ def test_oracle_column_matches_each_prefix_enumerated_alone(monkeypatch, weights
     w = WeightVector.of([_COLUMN_WEIGHTS[weights](rng) for _ in range(length)])
     if weights == "int-polynomial" and length:
         assert _slot_bytes(w, length + 1) is not None
-    watched = _watch_enumerations(monkeypatch)
-    for k in range(-1, length + 2):
-        for kind, oracle in (("first", first_kind_oracle), ("second", second_kind_oracle)):
-            del watched[:]
-            column = oracle_column(w, k, kind)
-            # one enumeration, every tuple drawn by the runs and none left over
-            drawn = [(count, next(rest, None)) for count, rest in watched]
-            if k <= 0:
-                assert drawn == []
-            else:
-                tuples = math.comb(length, k) if kind == "first" else math.comb(length + k - 1, k)
-                assert drawn == [(tuples, None)]
-            assert _typed(column) == _typed(_enumerated_per_prefix(w, k, kind))
-            assert oracle(w, k) == column[-1]
+    products = _count_products(monkeypatch)
+    for kind, oracle in (("first", first_kind_oracle), ("second", second_kind_oracle)):
+        expected = [_enumerated_per_prefix(w, k, kind) for k in range(length + 2)]
+        for k_max in range(length + 2):
+            del products[:]
+            table = oracle_table(w, k_max, kind)
+            # one enumeration, one product by a weight per index tuple of each size 1..k_max
+            sizes = range(1, k_max + 1)
+            tuples = [math.comb(length, j) if kind == "first" else math.comb(length + j - 1, j) for j in sizes]
+            assert products == [sum(tuples)]
+            assert len(table) == length + 1
+            for k in range(k_max + 1):
+                assert _typed([row[k] for row in table]) == _typed(expected[k])
+                assert oracle(w, k) == table[-1][k]
+        assert oracle(w, -1) == ZERO
+
+
+class _Words:
+    """A formal sum of words over the box indices, in a ring where ``*`` concatenates and so does not commute."""
+
+    def __init__(self, counts):
+        self.counts = Counter(counts)
+
+    @staticmethod
+    def of(value):
+        if isinstance(value, _Words):
+            return value
+        # the ints 0 and 1 the cells start from: the empty sum and the empty word
+        return _Words({(): value} if value else {})
+
+    def __add__(self, other):
+        return _Words(self.counts + _Words.of(other).counts)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        out = Counter()
+        for a, m in self.counts.items():
+            for b, n in _Words.of(other).counts.items():
+                out[a + b] += m * n
+        return _Words(out)
+
+    def __rmul__(self, other):
+        return _Words.of(other) * self
+
+
+def test_enumeration_takes_each_tuple_once_in_ascending_box_order(monkeypatch):
+    # over formal words each term keeps the order of its factors: every
+    # column sums each index tuple's word once, boxes ascending
+    length, k_max = 5, 6
+    words = [_Words({(i,): 1}) for i in range(1, length + 1)]
+    monkeypatch.setattr(konvalina, "_ring", lambda w, k, kind="second": (words, lambda v: _Words.of(v).counts))
+    w = ones(length)
+    for kind, index_tuples in (("first", combinations), ("second", combinations_with_replacement)):
+        table = oracle_table(w, k_max, kind)
+        for m, row in enumerate(table):
+            assert row == [Counter(index_tuples(range(1, m + 1), k)) for k in range(k_max + 1)]
 
 
 def test_oracle_column_refuses_an_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
-        oracle_column(ones(2), 1, "third")
+        oracle_table(ones(2), 1, "third")
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle_table(ones(2), -1, "first")
 
 
 def _constants(w):
@@ -545,7 +589,7 @@ def _everything(w, k):
     n = len(w)
     out = [[first_kind(w, j) for j in range(-1, k + 2)], [second_kind(w, j) for j in range(-1, k + 2)]]
     out += [first_kind_oracle(w, k), second_kind_oracle(w, k)]
-    out += [oracle_column(w, k, kind) for kind in ("first", "second")]
+    out += [oracle_table(w, k, kind) for kind in ("first", "second")]
     out += [first_kind_table(w, n)]
     out += [last_box_table(w, k, kind) for kind in ("first", "second")]
     out += [last_box_row(w, k, kind) for kind in ("first", "second")]
@@ -711,15 +755,16 @@ def test_shifted_factors_match_the_scalar_ring(monkeypatch, k):
     ],
 )
 def test_triangle_matches_the_enumeration_on_every_ring(weights, ring, n_max):
-    # T(m + k, m) = h_k(w_1..w_m), read from one enumeration per k; the
+    # T(m + k, m) = h_k(w_1..w_m), read from one enumeration; the
     # entries above the diagonal are zero, and n_max runs below and above len(w)
     w = WeightVector.of(weights)
     assert _ring_taken(w, n_max) == ring
     tri = second_kind_triangle_table(w, n_max)
     assert len(tri) == n_max + 1 and {len(row) for row in tri} == {len(w) + 1}
     assert {type(c) for row in tri for c in row} == {Scalar}
+    enumerated = oracle_table(w, n_max, "second")
     for k in range(n_max + 1):
-        column = oracle_column(w, k, "second")
+        column = [row[k] for row in enumerated]
         assert [tri[m + k][m] for m in range(min(len(w), n_max - k) + 1)] == column[: n_max - k + 1]
     for n, row in enumerate(tri):
         assert row[n + 1 :] == [ZERO] * (len(w) - n)

@@ -60,13 +60,14 @@ def test_operator_suite_computes_each_konkwa_value_once(monkeypatch):
 
 
 def test_oracle_suite_enumerates_each_second_kind_value_once(monkeypatch):
-    # one enumeration per (vector, k, kind) gives the values over every prefix
+    # one enumeration per (vector, kind) gives the values at every k over every prefix
     rng = random.Random(7)
-    expected = sum(2 * (len(suites._random_weights(rng)) + 1) for _ in range(200))
-    calls = _counting(monkeypatch, suites, "oracle_column")
+    vectors = [suites._random_weights(rng) for _ in range(200)]
+    calls = _counting(monkeypatch, suites, "oracle_table")
+    enumerations = _counting(monkeypatch, konvalina, "_enumerate")
     assert suites.suite_konvalina_oracle(seed=7).ok
-    assert len(calls) == expected == 2170
-    assert sorted(kind for _, _, kind in calls) == ["first"] * 1085 + ["second"] * 1085
+    assert calls == enumerations == [(w, len(w), kind) for w in vectors for kind in ("first", "second")]
+    assert len(calls) == 400
 
 
 def _failed_by(fault, run):

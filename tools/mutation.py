@@ -14,12 +14,14 @@ of these operators gives one mutant:
 Binary operators count in expressions and in augmented assignments.  A
 mutant is the module with that one site changed, written back with
 ``ast.unparse`` into a temporary copy of the package; the gate then runs
-on that copy with a 30 s timeout, two mutants at a time.  Each mutant is
-one JSON line on stdout, in source order: module, line, col, operator and
-verdict.  The verdict is ``survived`` when stdout and the exit status
-equal those of the unmutated package, ``fail-line`` for exit 1 with a FAIL
-line, ``timeout``, and otherwise ``exit-N`` for the exit status N (exit-1
-without a FAIL line is a traceback).  A summary per module goes to stderr.
+on that copy with a 30 s timeout and a 1 GiB address-space limit, two
+mutants at a time.  Each mutant is one JSON line on stdout, in source
+order: module, line, col, operator and verdict.  The verdict is
+``survived`` when stdout and the exit status equal those of the unmutated
+package, ``fail-line`` for exit 1 with a FAIL line, ``timeout``, and
+otherwise ``exit-N`` for the exit status N (exit-1 without a FAIL line is
+a traceback, a MemoryError past the limit among them).  A summary per
+module goes to stderr.
 """
 
 from __future__ import annotations
@@ -36,8 +38,22 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "triads"
-GATE = [sys.executable, "-m", "triads", "verify", "--suite", "all", "--seed", "7"]
 TIMEOUT_S = 30
+# A mutant that lengthens an enumeration's weight vector can ask for many GiB
+# before the timeout; the limit turns that into a MemoryError in the child.
+MEMORY_LIMIT_BYTES = 1 << 30
+GATE = [
+    sys.executable,
+    "-c",
+    "import resource, runpy; "
+    f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_LIMIT_BYTES}, {MEMORY_LIMIT_BYTES})); "
+    "runpy.run_module('triads', run_name='__main__', alter_sys=True)",
+    "verify",
+    "--suite",
+    "all",
+    "--seed",
+    "7",
+]
 WORKERS = 2
 
 _BINOPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: ast.Mult}
